@@ -3,20 +3,64 @@
 //! The paper's ID Bloom filter array (IDBFA, §2.4) uses counting filters so
 //! that replica-location entries can be *removed* when a replica migrates to
 //! a different MDS during group reconfiguration. The L1 LRU array likewise
-//! needs deletion on eviction.
+//! needs deletion on eviction, and every MDS keeps its live local filter as
+//! a counting filter so `unlink` can clear bits.
+//!
+//! # Representation
+//!
+//! Logically a counting filter is a vector of `m` saturating 8-bit
+//! counters. Almost all of them are 0 or 1 at sane loads (at the design
+//! load `λ = k·n/m = ln 2`, about 3 % of positions reach 3), so the
+//! counters are stored in three layers instead of one byte each:
+//!
+//! * a **`ones` plane** — one bit per position, set where the count is
+//!   ≥ 1. It is a plain [`BloomFilter`] of the same shape, so every probe
+//!   ([`contains`](CountingBloomFilter::contains),
+//!   [`contains_fp`](CountingBloomFilter::contains_fp),
+//!   [`contains_rows`](CountingBloomFilter::contains_rows)) reads only it,
+//!   and [`as_bloom_filter`](CountingBloomFilter::as_bloom_filter) lends it
+//!   out as the plain projection with no rebuild;
+//! * a **`twos` plane** — one bit per position, set where the count is
+//!   ≥ 2;
+//! * a sparse **overflow map** holding the exact count of each position at
+//!   ≥ 3.
+//!
+//! The encoding is canonical (a count of 2 never has a map entry), so two
+//! filters holding the same logical counters compare equal.
+//!
+//! # Saturation
+//!
+//! Counters saturate at 255 and a saturated counter is never decremented —
+//! the standard safety rule, since decrementing a saturated counter could
+//! introduce false negatives. Pathological overload therefore degrades into
+//! a permanently set bit rather than a correctness loss. A counter already
+//! at zero stays at zero; that is only reachable by removing an item that
+//! was never inserted but whose probes repeat a position.
+//!
+//! # Modelled versus resident bytes
+//!
+//! The paper's cost model (Table 5, Figures 8–10) charges one byte per
+//! counter; callers that reproduce it use
+//! [`counter_len`](CountingBloomFilter::counter_len).
+//! [`memory_bytes`](CountingBloomFilter::memory_bytes) reports what this
+//! representation really keeps on the heap: two bit planes (`m/4` bytes)
+//! plus the overflow map.
 
+use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::error::{BloomError, FilterShape};
 use crate::filter::BloomFilter;
-use crate::hash::{probe_indices, Fingerprint};
+use crate::hash::Fingerprint;
 
 /// A Bloom filter with per-position counters, supporting removal.
 ///
-/// Counters are 8-bit and saturate at 255. A saturated counter is never
-/// decremented (the standard safety rule: decrementing a saturated counter
-/// could introduce false negatives), so pathological overload degrades
-/// gracefully into a permanently-set bit rather than a correctness loss.
+/// Counters are logically 8-bit and saturate at 255; a saturated counter is
+/// never decremented. They are stored as two bit planes (count ≥ 1,
+/// count ≥ 2) plus a sparse map of exact counts ≥ 3, so the resident
+/// [`memory_bytes`](CountingBloomFilter::memory_bytes) is about `m/4` at
+/// light load, while [`counter_len`](CountingBloomFilter::counter_len) stays
+/// the modelled one byte per counter.
 ///
 /// # Examples
 ///
@@ -32,11 +76,15 @@ use crate::hash::{probe_indices, Fingerprint};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingBloomFilter {
-    counters: Vec<u8>,
-    bits: usize,
-    hashes: u32,
-    seed: u64,
-    items: usize,
+    /// Count ≥ 1, one bit per position; also carries the shape and the net
+    /// item count.
+    ones: BloomFilter,
+    /// Count ≥ 2, in the same word layout as `ones`.
+    twos: Vec<u64>,
+    /// Exact count (3..=255) of every position at ≥ 3, and of no other
+    /// position. Keys derive from outside input, so the map keeps the
+    /// default collision-resistant hasher.
+    over: HashMap<u32, u8>,
 }
 
 impl CountingBloomFilter {
@@ -45,17 +93,20 @@ impl CountingBloomFilter {
     ///
     /// # Panics
     ///
-    /// Panics if `bits == 0` or `hashes == 0`.
+    /// Panics if `bits == 0`, `hashes == 0`, or `bits` does not fit in a
+    /// `u32`.
     #[must_use]
     pub fn new(bits: usize, hashes: u32, seed: u64) -> Self {
         assert!(bits > 0, "filter must have at least one counter");
         assert!(hashes > 0, "filter must use at least one hash");
+        assert!(
+            u32::try_from(bits).is_ok(),
+            "filter wider than u32 positions"
+        );
         CountingBloomFilter {
-            counters: vec![0; bits],
-            bits,
-            hashes,
-            seed,
-            items: 0,
+            ones: BloomFilter::new(bits, hashes, seed),
+            twos: vec![0; bits.div_ceil(64)],
+            over: HashMap::new(),
         }
     }
 
@@ -67,14 +118,8 @@ impl CountingBloomFilter {
     /// Panics if `expected_items == 0` or `bits_per_item <= 0.0`.
     #[must_use]
     pub fn for_items(expected_items: usize, bits_per_item: f64) -> Self {
-        assert!(expected_items > 0, "expected_items must be positive");
-        assert!(
-            bits_per_item > 0.0 && bits_per_item.is_finite(),
-            "bits_per_item must be positive and finite"
-        );
-        let bits = ((expected_items as f64) * bits_per_item).ceil().max(64.0) as usize;
-        let hashes = crate::analysis::optimal_hash_count(bits_per_item);
-        CountingBloomFilter::new(bits, hashes, 0)
+        let shape = BloomFilter::for_items(expected_items, bits_per_item).shape();
+        CountingBloomFilter::new(shape.bits, shape.hashes, shape.seed)
     }
 
     /// Returns `self` re-keyed with `seed` (builder-style).
@@ -84,58 +129,61 @@ impl CountingBloomFilter {
     /// Panics if any item has already been inserted.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
-        assert!(
-            self.items == 0,
-            "cannot re-seed a filter that already holds items"
-        );
-        self.seed = seed;
+        self.ones = self.ones.with_seed(seed);
         self
     }
 
     /// The compatibility shape (counter count plays the role of bit count).
     #[must_use]
     pub fn shape(&self) -> FilterShape {
-        FilterShape {
-            bits: self.bits,
-            hashes: self.hashes,
-            seed: self.seed,
-        }
+        self.ones.shape()
     }
 
-    /// Number of counters.
+    /// Number of counters — also the modelled footprint in bytes, since the
+    /// paper's cost model charges one byte per counter.
     #[must_use]
     pub fn counter_len(&self) -> usize {
-        self.bits
+        self.ones.bit_len()
     }
 
     /// Number of hash functions.
     #[must_use]
     pub fn hash_count(&self) -> u32 {
-        self.hashes
+        self.ones.hash_count()
     }
 
     /// Hash-family seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.ones.seed()
     }
 
     /// Net number of items currently represented (inserts minus removals).
     #[must_use]
     pub fn item_count(&self) -> usize {
-        self.items
+        self.ones.item_count()
     }
 
     /// `true` when no item is represented.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.items == 0
+        self.item_count() == 0
     }
 
-    /// Heap footprint in bytes (one byte per counter).
+    /// Resident heap footprint in bytes: both bit planes plus the overflow
+    /// map (its buckets and control bytes, estimated from its capacity).
+    /// For the modelled one-byte-per-counter figure use
+    /// [`counter_len`](CountingBloomFilter::counter_len).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.counters.len()
+        let cap = self.over.capacity();
+        // One `(u32, u8)` slot and one control byte per bucket, plus a
+        // trailing group of control bytes.
+        let map = match cap {
+            0 => 0,
+            _ => (cap * 8 / 7).next_power_of_two() * (std::mem::size_of::<(u32, u8)>() + 1) + 16,
+        };
+        self.ones.memory_bytes() + self.twos.len() * 8 + map
     }
 
     /// Inserts `item`, incrementing its counters (saturating at 255).
@@ -145,24 +193,61 @@ impl CountingBloomFilter {
 
     /// Hash-once variant of [`insert`](CountingBloomFilter::insert).
     pub fn insert_fp(&mut self, fp: &Fingerprint) {
-        for idx in fp.probes(self.seed, self.bits, self.hashes) {
-            self.counters[idx] = self.counters[idx].saturating_add(1);
+        let FilterShape { bits, hashes, seed } = self.shape();
+        for idx in fp.probes(seed, bits, hashes) {
+            self.increment(idx);
         }
-        self.items += 1;
+        self.ones.set_items(self.ones.item_count() + 1);
+    }
+
+    // The plane updates are branch-free, so the per-probe loop never
+    // branches on whether a counter was zero; only a count already ≥ 2
+    // branches, into the overflow map.
+    fn increment(&mut self, idx: usize) {
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        let twos = self.twos[word];
+        if twos & bit != 0 {
+            let count = self.over.entry(idx as u32).or_insert(2);
+            *count = count.saturating_add(1);
+            return;
+        }
+        let ones = &mut self.ones.words_mut()[word];
+        self.twos[word] = twos | (*ones & bit);
+        *ones |= bit;
+    }
+
+    fn decrement(&mut self, idx: usize) {
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        let twos = self.twos[word];
+        if twos & bit != 0 {
+            let key = idx as u32;
+            if let Some(count) = self.over.get_mut(&key) {
+                if *count != u8::MAX {
+                    *count -= 1;
+                    if *count == 2 {
+                        self.over.remove(&key);
+                    }
+                }
+                return;
+            }
+        }
+        // Count 2 → 1 clears the `twos` bit only; 1 → 0 clears the `ones`
+        // bit (and 0 stays 0).
+        self.twos[word] = twos & !bit;
+        self.ones.words_mut()[word] &= !(bit ^ (twos & bit));
     }
 
     /// Probabilistic membership test: `false` means definitely absent.
     #[must_use]
     pub fn contains<T: Hash + ?Sized>(&self, item: &T) -> bool {
-        probe_indices(item, self.seed, self.bits, self.hashes).all(|idx| self.counters[idx] > 0)
+        self.ones.contains(item)
     }
 
     /// Hash-once variant of [`contains`](CountingBloomFilter::contains);
     /// answers identically to `contains` for the fingerprinted item.
     #[must_use]
     pub fn contains_fp(&self, fp: &Fingerprint) -> bool {
-        fp.probes(self.seed, self.bits, self.hashes)
-            .all(|idx| self.counters[idx] > 0)
+        self.ones.contains_fp(fp)
     }
 
     /// Membership test against precomputed probe rows, as derived for this
@@ -179,7 +264,9 @@ impl CountingBloomFilter {
     /// i.e. the rows were derived for a different shape.
     #[must_use]
     pub fn contains_rows(&self, rows: &[u32]) -> bool {
-        rows.iter().all(|&idx| self.counters[idx as usize] > 0)
+        let words = self.ones.words();
+        rows.iter()
+            .all(|&row| words[row as usize / 64] >> (row % 64) & 1 == 1)
     }
 
     /// Removes one occurrence of `item`, decrementing its counters.
@@ -205,59 +292,66 @@ impl CountingBloomFilter {
         if !self.contains_fp(fp) {
             return Err(BloomError::AbsentItem);
         }
-        for idx in fp.probes(self.seed, self.bits, self.hashes) {
-            let c = &mut self.counters[idx];
-            if *c != u8::MAX {
-                *c -= 1;
-            }
+        let FilterShape { bits, hashes, seed } = self.shape();
+        for idx in fp.probes(seed, bits, hashes) {
+            self.decrement(idx);
         }
-        self.items = self.items.saturating_sub(1);
+        self.ones
+            .set_items(self.ones.item_count().saturating_sub(1));
         Ok(())
     }
 
     /// Resets the filter to empty, keeping its shape.
     pub fn clear(&mut self) {
-        self.counters.fill(0);
-        self.items = 0;
+        self.ones.clear();
+        self.twos.fill(0);
+        self.over = HashMap::new();
     }
 
     /// Number of non-zero counters.
     #[must_use]
     pub fn ones(&self) -> usize {
-        self.counters.iter().filter(|&&c| c > 0).count()
+        self.ones.ones()
     }
 
     /// Fraction of non-zero counters, in `[0, 1]`.
     #[must_use]
     pub fn fill_ratio(&self) -> f64 {
-        self.ones() as f64 / self.bits as f64
+        self.ones.fill_ratio()
     }
 
     /// Estimated false-positive probability from the observed fill ratio.
     #[must_use]
     pub fn estimated_fpp(&self) -> f64 {
-        self.fill_ratio().powi(self.hashes as i32)
+        self.ones.estimated_fpp()
     }
 
-    /// Collapses the counters into a plain [`BloomFilter`] with the same
-    /// shape (counter > 0 ⇒ bit set). Used when shipping a snapshot over the
-    /// network: replicas are plain filters, only the owner needs counters.
+    /// The plain [`BloomFilter`] with the same shape (counter > 0 ⇒ bit
+    /// set), borrowed: it is the `ones` plane itself, so reading it costs
+    /// nothing. Its item count is this filter's net item count.
+    #[must_use]
+    pub fn as_bloom_filter(&self) -> &BloomFilter {
+        &self.ones
+    }
+
+    /// Owned copy of [`as_bloom_filter`](CountingBloomFilter::as_bloom_filter).
+    /// Used when shipping a snapshot over the network: replicas are plain
+    /// filters, only the owner needs counters.
     #[must_use]
     pub fn to_bloom_filter(&self) -> BloomFilter {
-        let mut plain = BloomFilter::new(self.bits, self.hashes, self.seed);
-        for (idx, &c) in self.counters.iter().enumerate() {
-            if c > 0 {
-                plain.words_mut()[idx / 64] |= 1 << (idx % 64);
-            }
-        }
-        plain.set_items(self.items);
-        plain
+        self.ones.clone()
     }
 
     /// Largest counter value (diagnostics: how close to saturation).
     #[must_use]
     pub fn max_counter(&self) -> u8 {
-        self.counters.iter().copied().max().unwrap_or(0)
+        if let Some(&max) = self.over.values().max() {
+            max
+        } else if self.twos.iter().any(|&w| w != 0) {
+            2
+        } else {
+            u8::from(self.ones.words().iter().any(|&w| w != 0))
+        }
     }
 }
 
@@ -347,8 +441,44 @@ mod tests {
     }
 
     #[test]
-    fn memory_is_one_byte_per_counter() {
+    fn counter_len_is_the_modelled_byte_count() {
         let f = CountingBloomFilter::new(777, 3, 0);
-        assert_eq!(f.memory_bytes(), 777);
+        assert_eq!(f.counter_len(), 777);
+        // Two bit planes of 13 words each, no overflow map yet.
+        assert_eq!(f.memory_bytes(), 2 * 13 * 8);
+    }
+
+    #[test]
+    fn resident_bytes_stay_small_at_light_load() {
+        let n = 10_000;
+        let mut f = CountingBloomFilter::for_items(n, 16.0);
+        let m = f.counter_len();
+        for i in 0..n / 10 {
+            f.insert(&i);
+        }
+        assert!(
+            f.memory_bytes() <= m / 4 + 1024,
+            "{} B resident for {m} counters at 10% load",
+            f.memory_bytes()
+        );
+    }
+
+    #[test]
+    fn resident_bytes_beat_dense_counters_at_design_load() {
+        let n = 10_000;
+        let mut f = CountingBloomFilter::for_items(n, 16.0);
+        for i in 0..n {
+            f.insert(&i);
+        }
+        assert!(
+            f.max_counter() >= 3,
+            "design load must reach the overflow map"
+        );
+        assert!(
+            f.memory_bytes() < f.counter_len(),
+            "{} B resident vs {} B of byte counters",
+            f.memory_bytes(),
+            f.counter_len()
+        );
     }
 }

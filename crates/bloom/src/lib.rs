@@ -46,7 +46,6 @@
 
 pub mod analysis;
 mod array;
-mod compact;
 mod counting;
 mod error;
 mod filter;
@@ -56,7 +55,6 @@ pub mod ops;
 mod shared;
 
 pub use array::{BloomFilterArray, Hit};
-pub use compact::CompactCountingBloomFilter;
 pub use counting::CountingBloomFilter;
 pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;

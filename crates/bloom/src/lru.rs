@@ -248,12 +248,19 @@ impl<I: Copy + Eq> LruBloomArray<I> {
         self.order.retain(|(_, fp)| residents.contains_key(fp));
     }
 
-    /// Total heap footprint of the per-home filters in bytes (excludes the
-    /// bookkeeping queue, which a production implementation sizes in the
-    /// tens of bytes per resident).
+    /// Resident heap footprint of the per-home filters in bytes (excludes
+    /// the bookkeeping queue, which a production implementation sizes in
+    /// the tens of bytes per resident).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.filters.iter().map(|(_, f)| f.memory_bytes()).sum()
+    }
+
+    /// Total counters across the per-home filters — the modelled footprint
+    /// in bytes under the paper's one-byte-per-counter cost model.
+    #[must_use]
+    pub fn counter_len(&self) -> usize {
+        self.filters.iter().map(|(_, f)| f.counter_len()).sum()
     }
 }
 
@@ -469,10 +476,13 @@ mod tests {
     #[test]
     fn memory_accounts_for_filters() {
         let mut lru = LruBloomArray::new(4, 1024, 4, 5);
-        assert_eq!(lru.memory_bytes(), 0);
+        assert_eq!((lru.memory_bytes(), lru.counter_len()), (0, 0));
         lru.record("a", 1u32);
-        assert_eq!(lru.memory_bytes(), 1024); // one counting filter, 1 B/counter
+        // One counting filter: 1 B/counter modelled, two bit planes resident.
+        assert_eq!(lru.counter_len(), 1024);
+        assert_eq!(lru.memory_bytes(), 256);
         lru.record("b", 2u32);
-        assert_eq!(lru.memory_bytes(), 2048);
+        assert_eq!(lru.counter_len(), 2048);
+        assert_eq!(lru.memory_bytes(), 512);
     }
 }

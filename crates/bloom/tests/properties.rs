@@ -1,10 +1,106 @@
 //! Property-based tests for the Bloom filter toolkit.
 
 use ghba_bloom::{
-    analysis, hash, ops, BloomFilter, BloomFilterArray, CompactCountingBloomFilter,
-    CountingBloomFilter, FilterDelta, Fingerprint, Hit, LruBloomArray, SharedShapeArray,
+    analysis, hash, ops, BloomError, BloomFilter, BloomFilterArray, CountingBloomFilter,
+    FilterDelta, Fingerprint, Hit, LruBloomArray, SharedShapeArray,
 };
 use proptest::prelude::*;
+
+/// The plain filter a flat vector of counters projects to, built through
+/// the documented `GBF1` encoding so comparisons are bit-exact.
+fn projection(counters: &[u8], hashes: u32, seed: u64, items: usize) -> BloomFilter {
+    let mut bytes = b"GBF1".to_vec();
+    bytes.extend_from_slice(&(counters.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&hashes.to_le_bytes());
+    bytes.extend_from_slice(&seed.to_le_bytes());
+    bytes.extend_from_slice(&(items as u64).to_le_bytes());
+    for chunk in counters.chunks(64) {
+        let word = (0..chunk.len()).fold(0u64, |w, bit| w | u64::from(chunk[bit] > 0) << bit);
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    BloomFilter::from_bytes(&bytes).expect("well-formed encoding")
+}
+
+/// Replays `ops` — `(kind, item)` pairs where `kind < clear_per_mille`
+/// clears, `kind < remove_per_mille` removes, and anything else inserts —
+/// against a [`CountingBloomFilter`] and an oracle of one saturating byte
+/// per position, comparing every observable (and, whenever the oracle is
+/// back at zero, equality with a fresh filter) after each step.
+///
+/// While every remove so far targeted an item with a live insert, every
+/// live item must also test positive: saturated counters never decrement,
+/// so overload cannot cause a false negative.
+fn check_counting_oracle(
+    (bits, hashes, seed): (usize, u32, u64),
+    ops: &[(u16, u32)],
+    clear_per_mille: u16,
+    remove_per_mille: u16,
+) -> Result<(), TestCaseError> {
+    let mut filter = CountingBloomFilter::new(bits, hashes, seed);
+    let (mut counters, mut items) = (vec![0u8; bits], 0usize);
+    let probes = |item: u32| Fingerprint::of(&item).probes(seed, bits, hashes);
+    let mut live = std::collections::HashMap::<u32, usize>::new();
+    let mut honest = true;
+    let mut rows = Vec::new();
+    for &(kind, item) in ops {
+        if kind < clear_per_mille {
+            filter.clear();
+            (counters, items) = (vec![0; bits], 0);
+            live.clear();
+            honest = true;
+        } else if kind < remove_per_mille {
+            let expected = if probes(item).any(|idx| counters[idx] == 0) {
+                Err(BloomError::AbsentItem)
+            } else {
+                for idx in probes(item) {
+                    if counters[idx] != u8::MAX {
+                        counters[idx] = counters[idx].saturating_sub(1);
+                    }
+                }
+                items = items.saturating_sub(1);
+                Ok(())
+            };
+            prop_assert_eq!(filter.remove(&item), expected);
+            match live.get_mut(&item) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => honest = false,
+            }
+        } else {
+            filter.insert(&item);
+            for idx in probes(item) {
+                counters[idx] = counters[idx].saturating_add(1);
+            }
+            items += 1;
+            *live.entry(item).or_insert(0) += 1;
+        }
+        prop_assert_eq!(filter.item_count(), items);
+        prop_assert_eq!(filter.ones(), counters.iter().filter(|&&c| c > 0).count());
+        prop_assert_eq!(
+            filter.max_counter(),
+            counters.iter().copied().max().unwrap_or(0)
+        );
+        if items == 0 && counters.iter().all(|&c| c == 0) {
+            // Canonical encoding: back at zero means equal to a fresh filter.
+            prop_assert!(filter == CountingBloomFilter::new(bits, hashes, seed));
+        }
+        let plain = projection(&counters, hashes, seed, items);
+        prop_assert!(filter.to_bloom_filter() == plain);
+        prop_assert!(filter.as_bloom_filter() == &plain);
+        for probe in 0..48u32 {
+            let fp = Fingerprint::of(&probe);
+            rows.clear();
+            fp.probe_rows_into(seed, bits, hashes, &mut rows);
+            let expected = probes(probe).all(|idx| counters[idx] > 0);
+            prop_assert_eq!(filter.contains(&probe), expected);
+            prop_assert_eq!(filter.contains_fp(&fp), expected);
+            prop_assert_eq!(filter.contains_rows(&rows), expected);
+            if honest && live.get(&probe).is_some_and(|&n| n > 0) {
+                prop_assert!(expected, "false negative for live item {}", probe);
+            }
+        }
+    }
+    Ok(())
+}
 
 fn arb_items() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z/]{1,24}", 0..200)
@@ -180,30 +276,29 @@ proptest! {
         prop_assert!(f_large >= f_small);
     }
 
-    /// The nibble-packed counting filter agrees bit-for-bit with the
-    /// byte-counter one under any insert/remove interleaving that stays
-    /// below saturation.
+    /// Counting filters match a flat saturating-counter oracle after every
+    /// step of an insert/remove/clear sequence on tiny filters hammered far
+    /// past saturation (255).
     #[test]
-    fn compact_agrees_with_byte_counting(
-        ops in proptest::collection::vec(("[a-z]{1,8}", any::<bool>()), 0..200),
+    fn counting_matches_oracle_past_saturation(
+        bits in 1usize..16,
+        hashes in 1u32..4,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u16..1000, 0u32..48), 0..2000),
     ) {
-        let mut compact = CompactCountingBloomFilter::new(8_192, 4, 11);
-        let mut full = CountingBloomFilter::new(8_192, 4, 11);
-        for (item, insert) in &ops {
-            if *insert {
-                compact.insert(item);
-                full.insert(item);
-            } else {
-                let a = compact.remove(item);
-                let b = full.remove(item);
-                prop_assert_eq!(a.is_ok(), b.is_ok());
-            }
-        }
-        prop_assume!(compact.max_counter() < 15);
-        for (item, _) in &ops {
-            prop_assert_eq!(compact.contains(item), full.contains(item));
-        }
-        prop_assert_eq!(compact.item_count(), full.item_count());
+        check_counting_oracle((bits, hashes, seed), &ops, 1, 150)?;
+    }
+
+    /// The same oracle on wider filters with clear- and remove-heavy
+    /// churn, where most counters stay in the bit planes.
+    #[test]
+    fn counting_matches_oracle_under_churn(
+        bits in 16usize..2048,
+        hashes in 1u32..8,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u16..1000, 0u32..160), 0..300),
+    ) {
+        check_counting_oracle((bits, hashes, seed), &ops, 20, 400)?;
     }
 
     /// Hash-once invariant: for any item, seed, and geometry, the probe

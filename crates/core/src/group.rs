@@ -19,7 +19,8 @@ use crate::ids::{GroupId, MdsId};
 
 /// Geometry of the per-member ID filters. The paper: "when the entire file
 /// system contains 100 MDSs, IDBFA only takes less than 0.1KB of storage"
-/// — 512 counters ≈ 0.5 KB with byte counters, the same order.
+/// — 512 counters ≈ 0.5 KB modelled at one byte per counter, the same
+/// order (the bit-plane counters keep about 128 B resident).
 const ID_FILTER_BITS: usize = 512;
 const ID_FILTER_HASHES: u32 = 4;
 const ID_FILTER_SEED: u64 = 0x1DBF_A000;
@@ -91,7 +92,7 @@ impl IdFilterArray {
         }
     }
 
-    /// Total memory of the ID filters in bytes.
+    /// Resident heap of the ID filters in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.filters.iter().map(|(_, f)| f.memory_bytes()).sum()
@@ -384,8 +385,9 @@ mod tests {
     #[test]
     fn idbfa_memory_is_small() {
         let g = group_with(&[1, 2, 3, 4, 5, 6, 7]);
-        // 7 members × 512 B counting filters — comfortably under 4 KB,
-        // matching the paper's "negligible" claim.
+        // 7 members × 512-counter filters — comfortably under 4 KB even at
+        // the modelled byte per counter, matching the paper's "negligible"
+        // claim.
         assert!(g.idbfa_memory_bytes() <= 4096);
     }
 }

@@ -48,18 +48,10 @@ pub fn published_shape(config: &GhbaConfig) -> FilterShape {
 pub struct Mds {
     id: MdsId,
     store: MetadataStore,
+    /// Its `ones` plane doubles as the plain projection that
+    /// [`drift_bits`](Mds::drift_bits) and [`publish`](Mds::publish) read,
+    /// so creates and unlinks both stay O(k).
     live: CountingBloomFilter,
-    /// Plain (bit-vector) projection of `live`, maintained incrementally on
-    /// creates and rebuilt **lazily** after unlinks: a remove may drop
-    /// counters to zero, so the projection goes stale until
-    /// [`drift_bits`](Mds::drift_bits) or [`publish`](Mds::publish) next
-    /// needs it. Unlink itself stays O(k) instead of O(m).
-    live_plain: BloomFilter,
-    /// `true` while `live_plain` lags `live` (set by unlinks).
-    live_plain_dirty: bool,
-    /// O(m) projection rebuilds performed (observability for the lazy
-    /// path; tests assert rebuilds scale with publish checks, not unlinks).
-    plain_rebuilds: u64,
     published: BloomFilter,
     lru: Option<LruBloomArray<MdsId>>,
     memory: Option<MemoryBudget>,
@@ -77,7 +69,6 @@ impl Mds {
     pub fn new(id: MdsId, config: &GhbaConfig) -> Self {
         let FilterShape { bits, hashes, seed } = published_shape(config);
         let live = CountingBloomFilter::new(bits, hashes, seed);
-        let live_plain = BloomFilter::new(bits, hashes, seed);
         let published = BloomFilter::new(bits, hashes, seed);
         let lru = (config.lru_capacity > 0).then(|| {
             LruBloomArray::new(
@@ -92,9 +83,6 @@ impl Mds {
             id,
             store: MetadataStore::new(),
             live,
-            live_plain,
-            live_plain_dirty: false,
-            plain_rebuilds: 0,
             published,
             lru,
             memory,
@@ -141,8 +129,7 @@ impl Mds {
         self.lru.as_mut()
     }
 
-    /// Inserts `path` into the store and live filter (hashing it once for
-    /// both filter projections).
+    /// Inserts `path` into the store and live filter.
     pub fn create_local(&mut self, path: &str) {
         self.create_local_fp(path, &Fingerprint::of(path));
     }
@@ -160,9 +147,6 @@ impl Mds {
         // property checkpoint/WAL recovery rebuilds it from).
         if !existed {
             self.live.insert_fp(fp);
-            // Keep the plain projection current when it is clean; when it
-            // is dirty the pending rebuild overwrites this anyway.
-            self.live_plain.insert_fp(fp);
         }
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
@@ -182,24 +166,10 @@ impl Mds {
         }
         let removed = self.live.remove_fp(fp);
         debug_assert!(removed.is_ok(), "live filter desynchronized from store");
-        // Counters may have dropped to zero, so the plain projection is now
-        // stale. Defer the O(m) rebuild until `drift_bits`/`publish`
-        // actually needs it — unlink itself stays O(k).
-        self.live_plain_dirty = true;
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
         self.recharge_metacache();
         true
-    }
-
-    /// Rebuilds the plain projection from the counting filter if an unlink
-    /// left it stale.
-    fn refresh_plain(&mut self) {
-        if self.live_plain_dirty {
-            self.live_plain = self.live.to_bloom_filter();
-            self.live_plain_dirty = false;
-            self.plain_rebuilds += 1;
-        }
     }
 
     /// Authoritative membership check (the "disk" verification of L4 and
@@ -238,9 +208,9 @@ impl Mds {
     /// check; gate it with [`drift_check_due`](Mds::drift_check_due) on
     /// hot paths.
     #[must_use]
-    pub fn drift_bits(&mut self) -> usize {
-        self.refresh_plain();
-        self.live_plain
+    pub fn drift_bits(&self) -> usize {
+        self.live
+            .as_bloom_filter()
             .xor_distance(&self.published)
             .expect("live and published share geometry")
     }
@@ -296,15 +266,15 @@ impl Mds {
     /// the delta that must be shipped to replica holders, or `None` if
     /// nothing changed.
     pub fn publish(&mut self) -> Option<FilterDelta> {
-        self.refresh_plain();
-        let delta = FilterDelta::between(&self.published, &self.live_plain)
-            .expect("published and live share geometry");
+        let live = self.live.as_bloom_filter();
+        let delta =
+            FilterDelta::between(&self.published, live).expect("published and live share geometry");
         self.mutations_since_publish = 0;
         self.mutations_since_drift_check = 0;
         if delta.is_empty() {
             return None;
         }
-        self.published = self.live_plain.clone();
+        self.published.clone_from(live);
         Some(delta)
     }
 
@@ -338,8 +308,6 @@ impl Mds {
     pub fn evacuate(&mut self) -> Vec<String> {
         let paths: Vec<String> = self.store.drain().map(|(p, _)| p).collect();
         self.live.clear();
-        self.live_plain.clear();
-        self.live_plain_dirty = false;
         self.published.clear();
         self.mutations_since_publish = 0;
         self.mutations_since_drift_check = 0;
@@ -365,11 +333,12 @@ impl Mds {
 
     /// Total bytes of filter structures this server keeps (its own filter,
     /// its LRU array, and `held` replicas) — the per-MDS figure behind
-    /// Table 5.
+    /// Table 5. Counting filters are charged the paper's one byte per
+    /// counter, not their resident heap.
     #[must_use]
     pub fn filter_memory_bytes(&self, held: usize) -> usize {
         self.published.memory_bytes()
-            + self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes)
+            + self.lru.as_ref().map_or(0, LruBloomArray::counter_len)
             + held * self.published.memory_bytes()
     }
 
@@ -399,14 +368,16 @@ impl Mds {
             budget.charge(CHARGE_METACACHE, 1, self.store.len() * META_ENTRY_BYTES);
             // The LRU array grows as homes are seen; keep its charge
             // honest so replicas feel true memory pressure.
-            let lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
+            let lru = self.lru.as_ref().map_or(0, LruBloomArray::counter_len);
             budget.charge(CHARGE_LRU, 0, lru);
         }
     }
 
+    /// Charges are modelled bytes: counting filters cost one byte per
+    /// counter ([`CountingBloomFilter::counter_len`]), as in the paper.
     fn recharge_memory(&mut self) {
-        let local = self.published.memory_bytes() + self.live.memory_bytes();
-        let lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
+        let local = self.published.memory_bytes() + self.live.counter_len();
+        let lru = self.lru.as_ref().map_or(0, LruBloomArray::counter_len);
         let replicas = self.replica_charge_count * self.published.memory_bytes();
         if let Some(budget) = &mut self.memory {
             budget.charge(CHARGE_LOCAL, 0, local);
@@ -503,8 +474,6 @@ mod tests {
         for i in 0..150 {
             assert!(mds.remove_local(&format!("/rm/f{i}")));
         }
-        // Unlinks defer the O(m) projection rebuild entirely.
-        assert_eq!(mds.plain_rebuilds, 0);
         for i in 0..150 {
             assert!(!mds.stores(&format!("/rm/f{i}")));
         }
@@ -513,12 +482,7 @@ mod tests {
             assert!(mds.stores(&path));
             assert!(mds.probe_live(&path), "no false negatives for {path}");
         }
-        // The first consumer of the plain projection pays exactly one
-        // rebuild; repeat reads stay free until the next unlink.
         assert!(mds.drift_bits() > 0);
-        assert_eq!(mds.plain_rebuilds, 1);
-        let _ = mds.drift_bits();
-        assert_eq!(mds.plain_rebuilds, 1);
         mds.publish().expect("live drifted from published");
         assert_eq!(mds.drift_bits(), 0);
         assert_eq!(mds.published().item_count(), 50);
@@ -528,11 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn create_while_plain_dirty_publishes_correctly() {
+    fn create_after_unlink_publishes_correctly() {
         let mut mds = Mds::new(MdsId(0), &test_config());
         mds.create_local("/keep");
         mds.create_local("/gone");
-        assert!(mds.remove_local("/gone")); // leaves the projection dirty
+        assert!(mds.remove_local("/gone"));
         mds.create_local("/after-dirty");
         let _ = mds.publish().expect("changes pending");
         assert!(mds.published().contains("/keep"));
