@@ -52,28 +52,15 @@ fn hba_cell(snapshot: HbaSnapshot) -> HbaCell {
     Arc::new(SnapshotCell::new(snapshot, spare))
 }
 
-/// Publishes `work` as the successor snapshot, folding `ops` through
-/// the spare-slab recycling protocol: the spare mirror absorbs the
-/// sparse ops and becomes the successor's slab; the displaced slab —
-/// once its pins drain — is caught up with the same ops and restocks
-/// the spare (deep copy only when a long-lived pin still holds it).
+/// Publishes `work` as the successor snapshot through the spare-slab
+/// recycling protocol ([`CellWriter::publish_slab`]); `true` when a
+/// pin on the displaced snapshot forced the spare's deep copy.
 fn publish_edit(
     writer: &mut CellWriter<'_, HbaSnapshot, SlabSpare>,
-    mut work: HbaSnapshot,
+    work: HbaSnapshot,
     ops: &[SlabOp],
-) {
-    if ops.is_empty() {
-        writer.publish(work);
-        return;
-    }
-    let published = writer.state().advance(ops);
-    work.slab = Arc::clone(&published);
-    let prev = writer.publish(work);
-    let displaced = match Arc::try_unwrap(prev) {
-        Ok(snapshot) => Arc::try_unwrap(snapshot.slab).ok(),
-        Err(_) => None,
-    };
-    writer.state().recycle(displaced, ops, &published);
+) -> bool {
+    writer.publish_slab(work, ops, |snapshot| &mut snapshot.slab)
 }
 
 /// A cloneable, thread-safe handle that retires and restores servers'
@@ -353,7 +340,9 @@ impl HbaCluster {
         if bump {
             work.epoch.bump();
         }
-        publish_edit(&mut writer, work, ops);
+        if publish_edit(&mut writer, work, ops) {
+            self.cstats.record_spare_copy();
+        }
     }
 
     /// L2 mask-cache accounting, both scopes (same unified accessor
@@ -615,7 +604,9 @@ impl HbaCluster {
         // stay valid and pinned walks keep probing the bits they
         // admitted against.
         let work = (*writer.base()).clone();
-        publish_edit(&mut writer, work, &[SlabOp::Delta(origin, delta.clone())]);
+        if publish_edit(&mut writer, work, &[SlabOp::Delta(origin, delta.clone())]) {
+            self.stats.slab_spare_copies += 1;
+        }
         drop(writer);
         let recipients = self.mdss.len().saturating_sub(1);
         let report = UpdateReport {
@@ -1512,7 +1503,10 @@ impl HbaCluster {
     /// touched home, one snapshot publish — HBA's broadcast-to-everyone
     /// replica-update traffic accounted per staged home. Touched homes
     /// are marked for the drain to reconcile their server-side
-    /// published filters.
+    /// published filters. Each delta comes from the pending
+    /// fingerprints' probe rows
+    /// ([`SharedShapeArray::insert_delta`]), so staging costs
+    /// `O(64 × changed words)`, like G-HBA's.
     ///
     /// Staging runs at the sequential publish cadence, not per batch: a
     /// home's creates accumulate in its staging buffer (every walk sees
@@ -1542,14 +1536,7 @@ impl HbaCluster {
         for (home, fps) in pending {
             // Absent column ⇒ the home is retired; its creates wait in
             // the shard log for the owner drain.
-            let Some(old) = work.slab.extract(home) else {
-                continue;
-            };
-            let mut fresh = old.clone();
-            for fp in &fps {
-                fresh.insert_fp(fp);
-            }
-            let Ok(delta) = FilterDelta::between(&old, &fresh) else {
+            let Ok(delta) = work.slab.insert_delta(home, &fps) else {
                 continue;
             };
             if delta.is_empty() {
@@ -1565,8 +1552,8 @@ impl HbaCluster {
             staged.push(home);
             ops.push(SlabOp::Delta(home, delta));
         }
-        if !ops.is_empty() {
-            publish_edit(&mut writer, work, &ops);
+        if !ops.is_empty() && publish_edit(&mut writer, work, &ops) {
+            self.cstats.record_spare_copy();
         }
         drop(writer);
         if !staged.is_empty() {
@@ -1631,8 +1618,8 @@ impl HbaCluster {
                     }
                 }
             }
-            if !ops.is_empty() {
-                publish_edit(&mut writer, work, &ops);
+            if !ops.is_empty() && publish_edit(&mut writer, work, &ops) {
+                self.stats.slab_spare_copies += 1;
             }
         }
     }
@@ -1740,7 +1727,7 @@ impl ConcurrentScheme for HbaCluster {
         self.apply_remove_shared(key)
     }
 
-    fn commit_batch(&self, _pinned: &Self::Pinned) {
+    fn commit_batch(&self) {
         self.commit_concurrent();
     }
 }

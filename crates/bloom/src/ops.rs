@@ -113,6 +113,24 @@ impl FilterDelta {
         })
     }
 
+    /// Assembles a delta from changed words already in ascending index
+    /// order — the order [`between`](FilterDelta::between) emits.
+    pub(crate) fn from_sorted_words(
+        shape: crate::error::FilterShape,
+        changed: Vec<(u32, u64)>,
+        new_items: usize,
+    ) -> Self {
+        debug_assert!(
+            changed.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "changed words must be strictly ascending"
+        );
+        FilterDelta {
+            shape,
+            changed,
+            new_items,
+        }
+    }
+
     /// Number of changed words.
     #[must_use]
     pub fn len(&self) -> usize {

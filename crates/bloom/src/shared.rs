@@ -1287,6 +1287,61 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         Some(filter)
     }
 
+    /// The sparse [`FilterDelta`] that inserting `fps` into `id`'s slot
+    /// would publish, without touching the slab: exactly
+    /// `FilterDelta::between(&old, &new)` for `old = extract(id)` and
+    /// `new = old` plus every fingerprint (same changed words, same
+    /// ascending order, same `new_items` — one per fingerprint,
+    /// duplicates included, as [`BloomFilter::insert_fp`] counts them).
+    ///
+    /// Nothing is extracted or cloned: only the fingerprints' probe rows
+    /// are read, plus the 64 bit-rows of each word that actually
+    /// changes, so the cost is `O(fps × hashes + 64 × changed words)`
+    /// rather than the `O(filter bits)` strided scan of an
+    /// extract/insert/diff round trip. Fold the result in with
+    /// [`apply_delta`](SharedShapeArray::apply_delta).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BloomError::UnknownId`] if `id` is absent.
+    pub fn insert_delta(&self, id: I, fps: &[Fingerprint]) -> Result<FilterDelta, BloomError> {
+        let slot = self.slot_of(id).ok_or(BloomError::UnknownId)?;
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        // The probe bits still clear in the column, as (word index, bit).
+        let mut fresh: Vec<(u32, u64)> = Vec::new();
+        for fp in fps {
+            for row in fp.probes(self.shape.seed, self.shape.bits, self.shape.hashes) {
+                if self.slab[row * self.stride + word] & bit == 0 {
+                    fresh.push(((row / 64) as u32, 1 << (row % 64)));
+                }
+            }
+        }
+        fresh.sort_unstable_by_key(|&(idx, _)| idx);
+        let mut changed: Vec<(u32, u64)> = Vec::new();
+        for (idx, set) in fresh {
+            match changed.last_mut() {
+                Some((last, bits)) if *last == idx => *bits |= set,
+                _ => changed.push((idx, set)),
+            }
+        }
+        // Only words gaining a bit differ from the column: gather their
+        // remaining 64 rows to complete the post-insert word.
+        for (idx, bits) in &mut changed {
+            let base = *idx as usize * 64;
+            let top = (base + 64).min(self.shape.bits);
+            for row in base..top {
+                if self.slab[row * self.stride + word] & bit != 0 {
+                    *bits |= 1 << (row - base);
+                }
+            }
+        }
+        Ok(FilterDelta::from_sorted_words(
+            self.shape,
+            changed,
+            self.items[slot] + fps.len(),
+        ))
+    }
+
     /// Sets `item`'s bits in `id`'s slot.
     ///
     /// # Errors
@@ -1903,6 +1958,21 @@ mod tests {
             check::<16>(k);
             check::<32>(k);
         }
+    }
+
+    #[test]
+    fn insert_delta_edge_cases() {
+        let array = array_with(&[(1, &["hot"]), (2, &[])]);
+        let empty = array.insert_delta(1, &[]).unwrap();
+        assert!(empty.is_empty(), "no fingerprints, no changed words");
+        assert_eq!(empty.new_items(), 1, "item count carries over");
+        let again = array.insert_delta(1, &[Fingerprint::of("hot")]).unwrap();
+        assert!(again.is_empty(), "every probe bit is already set");
+        assert_eq!(again.new_items(), 2, "a re-insert still counts");
+        assert_eq!(
+            array.insert_delta(9, &[Fingerprint::of("hot")]),
+            Err(BloomError::UnknownId)
+        );
     }
 
     #[test]

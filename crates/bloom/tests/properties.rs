@@ -572,6 +572,66 @@ proptest! {
         }
     }
 
+    /// `insert_delta` is the sparse twin of an extract/insert/diff round
+    /// trip: against the oracle `FilterDelta::between(extract(id),
+    /// extract(id) + inserts)` it yields the same changed words in the
+    /// same order, the same `new_items` and wire size — on slabs of at
+    /// least 65 slots (stride 2), recycled slots, duplicate fingerprints
+    /// (a four-letter alphabet repeats often), bits already set in the
+    /// column, and empty insert lists. A 1000-bit shape also covers the
+    /// partial tail word.
+    #[test]
+    fn insert_delta_matches_between_oracle(
+        homes in 65u16..140,
+        retire in proptest::collection::vec(0u16..140, 0..8),
+        others in proptest::collection::vec(("[a-d]{1,3}", 0u16..140), 0..150),
+        already in proptest::collection::vec("[a-d]{1,3}", 0..30),
+        inserts in proptest::collection::vec("[a-d]{1,3}", 0..40),
+        pick in 0u16..140,
+        on_recycled in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let shape = ghba_bloom::FilterShape { bits: 1000, hashes: 4, seed };
+        let mut slab = SharedShapeArray::new(shape);
+        for id in 0..homes {
+            slab.push(id).unwrap();
+        }
+        // Retired ids' slots are tombstoned and reused by fresh ids.
+        let mut recycled = Vec::new();
+        for (n, &id) in retire.iter().enumerate() {
+            if slab.remove(id % homes) {
+                let fresh = 1000 + n as u16;
+                slab.push(fresh).unwrap();
+                recycled.push(fresh);
+            }
+        }
+        let ids: Vec<u16> = slab.ids().collect();
+        for (item, home) in &others {
+            slab.insert(ids[usize::from(*home) % ids.len()], item).unwrap();
+        }
+        let target = match recycled.last() {
+            Some(&id) if on_recycled => id,
+            _ => ids[usize::from(pick) % ids.len()],
+        };
+        for item in &already {
+            slab.insert(target, item).unwrap();
+        }
+        let fps: Vec<Fingerprint> = inserts.iter().map(|item| Fingerprint::of(item.as_str())).collect();
+        let old = slab.extract(target).unwrap();
+        let mut new = old.clone();
+        for fp in &fps {
+            new.insert_fp(fp);
+        }
+        let oracle = FilterDelta::between(&old, &new).unwrap();
+        let sparse = slab.insert_delta(target, &fps).unwrap();
+        prop_assert_eq!(sparse.changed_words(), oracle.changed_words());
+        prop_assert_eq!(sparse.new_items(), oracle.new_items());
+        prop_assert_eq!(sparse.wire_bytes(), oracle.wire_bytes());
+        prop_assert_eq!(&sparse, &oracle);
+        slab.apply_delta(target, &sparse).unwrap();
+        prop_assert_eq!(slab.extract(target), Some(new));
+    }
+
     /// `ProbeBatch::derive_rows_into` yields exactly the per-fingerprint
     /// probe rows of `Fingerprint::probes`, for any shape.
     #[test]

@@ -57,6 +57,14 @@ pub struct ClusterStats {
     /// under a drifting entry distribution would otherwise grow the
     /// cache without bound — per-group tag validation never bulk-clears).
     pub mask_cache_evictions: u64,
+    /// Slab-touching publishes whose displaced snapshot was still pinned,
+    /// so the writer's spare slab had to be restocked by a deep copy of
+    /// the whole published slab instead of recycled in place (see
+    /// [`SlabSpare`](crate::SlabSpare)). Zero when batches run one at
+    /// a time; concurrent batches still pinning the replaced snapshot
+    /// can force a copy, and so can a publisher that commits while
+    /// holding a pin of its own.
+    pub slab_spare_copies: u64,
     /// Named auxiliary counters (verification round trips, drops, …).
     pub counters: Counters,
 }
@@ -1193,7 +1201,17 @@ impl GhbaCluster {
     /// [`SlabOp::Delta`] per touched home, one atomic snapshot swap —
     /// exactly the publish path the sequential update protocol uses, so
     /// readers never observe a half-published column. Called once per
-    /// concurrent batch by the pipeline.
+    /// concurrent batch by the pipeline, after the batch released its
+    /// snapshot pin.
+    ///
+    /// Cost: each home's delta comes straight from its pending
+    /// fingerprints' probe rows
+    /// ([`SharedShapeArray::insert_delta`](ghba_bloom::SharedShapeArray::insert_delta)),
+    /// and the publish applies it sparsely, so the whole pass is
+    /// `O(fingerprints × hashes + 64 × changed words)` with no
+    /// slab-sized allocation or scan — unless the caller still pins the
+    /// current snapshot, which forces the spare slab's deep copy
+    /// (counted in [`ClusterStats::slab_spare_copies`]).
     ///
     /// Only creates stage (published columns are plain Bloom filters;
     /// removes stay invisible to probes until the owner drain), and the
@@ -1234,14 +1252,7 @@ impl GhbaCluster {
         for (home, fps) in pending {
             // A column may be absent (the home retired concurrently);
             // its creates stay in the log for the owner drain.
-            let Some(old) = edit.work.slab.extract(home) else {
-                continue;
-            };
-            let mut fresh = old.clone();
-            for fp in &fps {
-                fresh.insert_fp(fp);
-            }
-            let Ok(delta) = FilterDelta::between(&old, &fresh) else {
+            let Ok(delta) = edit.work.slab.insert_delta(home, &fps) else {
                 continue;
             };
             if delta.is_empty() {
@@ -1261,7 +1272,9 @@ impl GhbaCluster {
         for (home, delta) in ops {
             edit.push_op(SlabOp::Delta(home, delta));
         }
-        edit.commit();
+        if edit.commit() {
+            self.cstats.record_spare_copy();
+        }
         if !staged.is_empty() {
             self.shards.mark_staged(staged);
         }
@@ -1364,7 +1377,7 @@ impl GhbaCluster {
         for (home, delta) in ops {
             edit.push_op(SlabOp::Delta(home, delta));
         }
-        edit.commit();
+        self.finish_edit(edit);
     }
 
     /// Pending concurrent write records awaiting the next
@@ -2350,6 +2363,7 @@ impl GhbaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::OpBatch;
 
     fn batch_config() -> GhbaConfig {
         GhbaConfig::default()
@@ -2664,5 +2678,47 @@ mod tests {
             (15 + groups - 2) as u64,
             "evictions surface in ClusterStats"
         );
+    }
+
+    /// A batch of `/stage/r{round}/…` creates: enough per home to ripen
+    /// the staging gate of `batch_config`.
+    fn create_batch(round: usize) -> OpBatch {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::Random);
+        for i in 0..64 {
+            batch.push_create(format!("/stage/r{round}/f{i}"));
+        }
+        batch
+    }
+
+    /// The pin-once pipeline drops its pin before committing, so
+    /// single-threaded staging always recycles the displaced slab in
+    /// place and never deep-copies it.
+    #[test]
+    fn unpinned_staging_never_deep_copies_the_slab() {
+        use crate::MetadataService;
+        let mut cluster = GhbaCluster::with_servers(batch_config(), 15);
+        for round in 0..8 {
+            let _ = cluster.execute_concurrent(&create_batch(round));
+        }
+        cluster.drain_concurrent();
+        assert!(cluster.stats().update_messages > 0, "creates staged");
+        assert_eq!(cluster.stats().slab_spare_copies, 0);
+    }
+
+    /// A pin held across staging commits keeps the displaced snapshot
+    /// alive, so the first publish falls back to a deep copy; later
+    /// publishes displace unpinned snapshots and recycle in place.
+    #[test]
+    fn a_pin_held_across_staging_forces_exactly_one_deep_copy() {
+        use crate::MetadataService;
+        let mut cluster = GhbaCluster::with_servers(batch_config(), 15);
+        let pin = cluster.pin_route_snapshot();
+        for round in 0..4 {
+            let _ = cluster.execute_concurrent(&create_batch(round));
+        }
+        drop(pin);
+        cluster.drain_concurrent();
+        assert!(cluster.stats().update_messages > 0, "creates staged");
+        assert_eq!(cluster.stats().slab_spare_copies, 1);
     }
 }

@@ -112,6 +112,7 @@ pub struct ConcurrentStats {
     l2_false: AtomicU64,
     l3_false: AtomicU64,
     l4_disk: AtomicU64,
+    spare_copies: AtomicU64,
     /// Per-group load telemetry (see [`crate::load`]). Deliberately
     /// outside the `dirty` protocol: it is drained by the load report,
     /// not by the stats fold, so recording load never forces the
@@ -141,6 +142,7 @@ impl ConcurrentStats {
             l2_false: AtomicU64::new(0),
             l3_false: AtomicU64::new(0),
             l4_disk: AtomicU64::new(0),
+            spare_copies: AtomicU64::new(0),
             load: LoadRecorder::new(),
         }
     }
@@ -239,6 +241,14 @@ impl ConcurrentStats {
         self.touch();
     }
 
+    /// Records one staged publish whose spare slab had to be restocked
+    /// by a deep copy (see
+    /// [`ClusterStats::slab_spare_copies`](crate::ClusterStats::slab_spare_copies)).
+    pub fn record_spare_copy(&self) {
+        self.spare_copies.fetch_add(1, Ordering::Relaxed);
+        self.touch();
+    }
+
     /// Drains every counter into `stats` and returns the folded
     /// `(mask_hits, mask_misses)` pair so callers with a separate
     /// lifetime view of the mask cache can absorb it too.
@@ -263,6 +273,7 @@ impl ConcurrentStats {
 
         stats.update_messages += self.update_messages.swap(0, Ordering::Relaxed);
         stats.update_bytes += self.update_bytes.swap(0, Ordering::Relaxed);
+        stats.slab_spare_copies += self.spare_copies.swap(0, Ordering::Relaxed);
 
         for (label, counter) in [
             ("l1_false_hits", &self.l1_false),

@@ -507,9 +507,12 @@ pub trait ConcurrentScheme {
 
     /// Folds the batch's pending create bits into the published probe
     /// state (one slab writer pass, one atomic swap). Called once after
-    /// the batch's ops complete; a batch that panics mid-flight leaves
-    /// its pending records for the next commit or owner drain instead.
-    fn commit_batch(&self, pinned: &Self::Pinned);
+    /// the batch's ops complete **and its pin is released** — a pin held
+    /// across the publish would keep the displaced snapshot alive and
+    /// force the writer's spare slab into a full deep copy. A batch
+    /// that panics mid-flight leaves its pending records for the next
+    /// commit or owner drain instead.
+    fn commit_batch(&self);
 }
 
 /// Executes `batch` against `scheme` from a **shared** reference: the
@@ -521,7 +524,7 @@ pub trait ConcurrentScheme {
 /// rename semantics (the new home is drawn only when the source
 /// existed, so the RNG stream stays aligned with the sequential
 /// pipeline), and one [`ConcurrentScheme::commit_batch`] after the last
-/// op. Any number of threads may run this concurrently against the same
+/// op, once the batch's pin is dropped. Any number of threads may run this concurrently against the same
 /// scheme; writes serialize per namespace shard and reads walk the
 /// snapshot pinned at their own batch's admission.
 pub fn execute_vectored_concurrent<S: ConcurrentScheme + ?Sized>(
@@ -601,8 +604,10 @@ pub fn execute_vectored_concurrent<S: ConcurrentScheme + ?Sized>(
         }
     }
     flush(scheme, &pinned, ops, &mut run, &mut outcomes);
-    scheme.commit_batch(&pinned);
+    // Unpin first: the commit publishes a successor, and the snapshot it
+    // displaces can only be recycled in place once no pin holds it.
     drop(pinned);
+    scheme.commit_batch();
     outcomes
         .into_iter()
         .map(|outcome| outcome.expect("every op produced an outcome"))

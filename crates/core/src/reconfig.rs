@@ -274,12 +274,16 @@ impl RouteEdit<'_> {
 }
 
 impl GhbaCluster {
-    /// Commits an edit and evicts the mask-cache state of any group it
+    /// Commits an edit, counts a spare-slab deep copy if the publish
+    /// needed one, and evicts the mask-cache state of any group it
     /// dissolved (the owner-side half of snapshot retirement: the epochs
-    /// left with the snapshot, the cached masks live here).
+    /// left with the snapshot, the cached masks live here). Every
+    /// owner-side (`&mut`) publish goes through here.
     pub(crate) fn finish_edit(&mut self, mut edit: RouteEdit<'_>) {
         let dissolved = core::mem::take(&mut edit.dissolved);
-        edit.commit();
+        if edit.commit() {
+            self.stats.slab_spare_copies += 1;
+        }
         for gid in dissolved {
             self.mask_cache.forget_group(gid);
         }
@@ -646,7 +650,7 @@ impl GhbaCluster {
             "group exists: {gid} is not live"
         );
         let moves = edit.rebalance_bumping(gid);
-        edit.commit();
+        self.finish_edit(edit);
         if moves > 0 {
             // A standalone rebalance must leave memory charges correct
             // on its own (the compound reconfigurations refresh the

@@ -234,7 +234,7 @@ impl ConcurrentScheme for GhbaCluster {
         self.apply_remove_shared(key)
     }
 
-    fn commit_batch(&self, _pinned: &Self::Pinned) {
+    fn commit_batch(&self) {
         self.commit_concurrent();
     }
 }

@@ -193,7 +193,7 @@ impl<T, W> CellWriter<'_, T, W> {
     /// displaced snapshot. Readers pinned to the displaced snapshot
     /// keep it alive through their own `Arc`s; once those drop, the
     /// returned `Arc` is the last reference and the caller may recycle
-    /// its storage (see [`SlabSpare::recycle`]).
+    /// its storage (see [`CellWriter::publish_slab`]).
     ///
     /// # Blocking
     ///
@@ -288,54 +288,110 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
 /// every successor snapshot, the writer keeps **one** spare mirror of
 /// the published slab, applies the edit's sparse [`SlabOp`]s to it, and
 /// publishes it; the displaced snapshot's slab — once its readers drain
-/// — is caught up with the same ops and becomes the next spare. Only
-/// when a long-lived pin still holds the displaced slab does the spare
-/// fall back to a deep copy.
+/// — is caught up with the same ops and becomes the next spare.
+///
+/// # Cost contract
+///
+/// A publish ([`CellWriter::publish_slab`]) of [`SlabOp::Delta`]s costs
+/// `O(64 × changed words)` twice (once on the spare, once catching up
+/// the displaced slab) and allocates nothing slab-sized: while the
+/// successor is being published the spare is simply empty, never a
+/// zero-filled placeholder. The one full-width cost left is the
+/// fallback: when something still pins the displaced snapshot, its slab
+/// cannot be reclaimed and the spare is restocked by deep-copying the
+/// published slab. Publishers therefore **release their own pin before
+/// committing** — a batch that commits while still holding the
+/// snapshot it admitted under forces that copy on itself.
+/// `publish_slab` reports each fallback so owners can count it
+/// ([`ClusterStats::slab_spare_copies`]).
+///
+/// [`ClusterStats::slab_spare_copies`]: crate::ClusterStats::slab_spare_copies
 #[derive(Debug)]
 pub struct SlabSpare {
-    slab: SharedShapeArray<MdsId>,
+    /// The mirror; `None` only between `advance` and `recycle` of one
+    /// publish (both run under the cell's writer lock).
+    slab: Option<SharedShapeArray<MdsId>>,
 }
 
 impl SlabSpare {
     /// Wraps a mirror of the currently published slab.
     pub fn new(mirror: SharedShapeArray<MdsId>) -> Self {
-        SlabSpare { slab: mirror }
+        SlabSpare { slab: Some(mirror) }
     }
 
     /// Applies `ops` to the spare and hands it out as the successor
-    /// snapshot's slab. The caller must publish it and then call
-    /// [`recycle`](SlabSpare::recycle) with the displaced slab.
-    pub fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
-        apply_slab_ops(&mut self.slab, ops);
-        let shape = self.slab.shape();
-        Arc::new(core::mem::replace(
-            &mut self.slab,
-            SharedShapeArray::new(shape),
-        ))
+    /// snapshot's slab, leaving the spare empty. The caller must publish
+    /// it and then call [`recycle`](SlabSpare::recycle) with the
+    /// displaced slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the previous `advance` was never followed by its
+    /// `recycle`.
+    fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
+        let mut slab = self
+            .slab
+            .take()
+            .expect("the previous publish restocked the spare");
+        apply_slab_ops(&mut slab, ops);
+        Arc::new(slab)
     }
 
     /// Restocks the spare after a publish: catches the displaced slab
     /// up with the edit's ops (cheap, sparse) when its storage came
-    /// back exclusively, or deep-copies the published slab when a
-    /// reader still pins it (rare: pins last one batch).
-    pub fn recycle(
+    /// back exclusively, or deep-copies the published slab when a pin
+    /// still holds it. Returns `true` when it fell back to the copy.
+    fn recycle(
         &mut self,
         displaced: Option<SharedShapeArray<MdsId>>,
         ops: &[SlabOp],
         published: &SharedShapeArray<MdsId>,
-    ) {
-        match displaced {
+    ) -> bool {
+        let copied = displaced.is_none();
+        let slab = match displaced {
             Some(mut slab) => {
                 apply_slab_ops(&mut slab, ops);
-                self.slab = slab;
+                slab
             }
-            None => self.slab = published.clone(),
-        }
+            None => published.clone(),
+        };
         debug_assert_eq!(
-            self.slab.len(),
+            slab.len(),
             published.len(),
             "recycled spare diverged from the published slab"
         );
+        self.slab = Some(slab);
+        copied
+    }
+}
+
+impl<T> CellWriter<'_, T, SlabSpare> {
+    /// Publishes `work` as the successor snapshot, folding `ops` into
+    /// its slab (reached through `slab_of`) by the [`SlabSpare`]
+    /// protocol: the spare absorbs the ops and becomes the successor's
+    /// slab, and the displaced slab restocks the spare. An empty `ops`
+    /// publishes `work` as is, sharing the current slab. Returns `true`
+    /// when a pin on the displaced snapshot forced the spare's
+    /// deep-copy fallback.
+    pub fn publish_slab(
+        &mut self,
+        mut work: T,
+        ops: &[SlabOp],
+        slab_of: fn(&mut T) -> &mut Arc<SharedShapeArray<MdsId>>,
+    ) -> bool {
+        if ops.is_empty() {
+            self.publish(work);
+            return false;
+        }
+        let published = self.state().advance(ops);
+        *slab_of(&mut work) = Arc::clone(&published);
+        let displaced = Arc::try_unwrap(self.publish(work))
+            .ok()
+            .and_then(|mut prev| {
+                let slab = core::mem::replace(slab_of(&mut prev), Arc::clone(&published));
+                Arc::try_unwrap(slab).ok()
+            });
+        self.state().recycle(displaced, ops, &published)
     }
 }
 
@@ -632,24 +688,20 @@ impl<'a> RouteEdit<'a> {
     }
 
     /// Publishes the successor snapshot with one pointer swap, folding
-    /// the queued slab ops through the spare-slab recycling protocol.
-    pub(crate) fn commit(mut self) {
-        if self.ops.is_empty() {
-            // The slab is untouched: the successor shares the published
-            // slab's storage and the spare stays a valid mirror.
-            self.writer.publish(self.work);
-            return;
-        }
-        let published = self.writer.state().advance(&self.ops);
-        self.work.slab = Arc::clone(&published);
-        let prev = self.writer.publish(self.work);
-        let displaced = match Arc::try_unwrap(prev) {
-            Ok(snapshot) => Arc::try_unwrap(snapshot.slab).ok(),
-            Err(_) => None,
-        };
+    /// the queued slab ops through the spare-slab recycling protocol
+    /// ([`CellWriter::publish_slab`]).
+    ///
+    /// Cost: `O(64 × changed words)` for [`SlabOp::Delta`]s and no
+    /// slab-sized allocation — provided the committer holds no pin on
+    /// the current snapshot. Release the batch's pin *before*
+    /// committing; a pin still held here forces the spare's deep copy
+    /// of the whole slab. Returns `true` when that fallback ran (owners
+    /// count it in [`ClusterStats::slab_spare_copies`]).
+    ///
+    /// [`ClusterStats::slab_spare_copies`]: crate::ClusterStats::slab_spare_copies
+    pub(crate) fn commit(mut self) -> bool {
         self.writer
-            .state()
-            .recycle(displaced, &self.ops, &published);
+            .publish_slab(self.work, &self.ops, |snapshot| &mut snapshot.slab)
     }
 }
 
@@ -918,18 +970,18 @@ mod tests {
             vec![SlabOp::PushFilter(MdsId(2), filter)],
             vec![SlabOp::Remove(MdsId(1))],
         ];
+        let mirror = |spare: &SlabSpare| -> Vec<MdsId> {
+            spare.slab.as_ref().expect("restocked").ids().collect()
+        };
         for ops in &rounds {
             let next = spare.advance(ops);
+            assert!(spare.slab.is_none(), "no placeholder while published");
             let displaced = Arc::try_unwrap(core::mem::replace(&mut published, next)).ok();
-            spare.recycle(displaced, ops, &published);
+            assert!(!spare.recycle(displaced, ops, &published), "in place");
         }
         let ids: Vec<MdsId> = published.ids().collect();
         assert_eq!(ids, vec![MdsId(0), MdsId(2)]);
-        assert_eq!(
-            spare.slab.ids().collect::<Vec<_>>(),
-            ids,
-            "spare mirrors the published slab"
-        );
+        assert_eq!(mirror(&spare), ids, "spare mirrors the published slab");
         // A held reference forces the deep-copy fallback; the spare must
         // still mirror the published slab afterwards.
         let hold = Arc::clone(&published);
@@ -940,17 +992,14 @@ mod tests {
             displaced.is_none(),
             "the held pin blocks in-place recycling"
         );
-        spare.recycle(displaced, &ops, &published);
+        assert!(
+            spare.recycle(displaced, &ops, &published),
+            "the fallback reports its deep copy"
+        );
         // The push reuses the slot the removal tombstoned, so slot order
         // is [0, 3, 2]; what matters is spare == published.
-        assert_eq!(
-            spare.slab.ids().collect::<Vec<_>>(),
-            published.ids().collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            spare.slab.ids().collect::<Vec<_>>(),
-            vec![MdsId(0), MdsId(3), MdsId(2)]
-        );
+        assert_eq!(mirror(&spare), published.ids().collect::<Vec<_>>());
+        assert_eq!(mirror(&spare), vec![MdsId(0), MdsId(3), MdsId(2)]);
         drop(hold);
     }
 }

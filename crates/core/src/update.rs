@@ -79,7 +79,7 @@ impl GhbaCluster {
             let mut edit =
                 crate::snapshot::RouteEdit::begin(&routes, self.config.epoch_granularity);
             edit.push_op(crate::snapshot::SlabOp::Delta(origin, delta.clone()));
-            edit.commit();
+            self.finish_edit(edit);
         }
         let snap = self.routes.pin();
         debug_assert_eq!(

@@ -1146,7 +1146,7 @@ impl GhbaCluster {
         for (id, delta) in ops {
             edit.push_op(SlabOp::Delta(id, delta));
         }
-        edit.commit();
+        self.finish_edit(edit);
         Ok(())
     }
 
