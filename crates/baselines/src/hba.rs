@@ -21,8 +21,8 @@ use ghba_core::{
     execute_vectored, execute_vectored_concurrent, published_shape, CellWriter, ClusterStats,
     ConcurrentScheme, ConcurrentStats, EntryPolicy, GhbaConfig, GroupId, LoadFold, LoadReport,
     MaskCacheLifecycle, MaskCacheStats, Mds, MdsId, MembershipEpoch, NamespaceShards, OpBatch,
-    OpOutcome, OverlayEntry, PathKey, QueryLevel, QueryOutcome, ReconfigReport, SlabOp, SlabSpare,
-    SnapshotCell, UpdateReport, VectoredScheme, WriteKind,
+    OpOutcome, OverlayEntry, PathKey, QueryLevel, QueryOutcome, ReconfigReport, SlabOp,
+    SlabPublish, SlabSpare, SnapshotCell, UpdateReport, VectoredScheme, WriteKind,
 };
 use ghba_simnet::DetRng;
 
@@ -53,13 +53,14 @@ fn hba_cell(snapshot: HbaSnapshot) -> HbaCell {
 }
 
 /// Publishes `work` as the successor snapshot through the spare-slab
-/// recycling protocol ([`CellWriter::publish_slab`]); `true` when a
-/// pin on the displaced snapshot forced the spare's deep copy.
+/// recycling protocol ([`CellWriter::publish_slab`]), returning the
+/// slab rows written and whether a pin on the displaced snapshot forced
+/// the spare's deep copy.
 fn publish_edit(
     writer: &mut CellWriter<'_, HbaSnapshot, SlabSpare>,
     work: HbaSnapshot,
     ops: &[SlabOp],
-) -> bool {
+) -> SlabPublish {
     writer.publish_slab(work, ops, |snapshot| &mut snapshot.slab)
 }
 
@@ -340,9 +341,8 @@ impl HbaCluster {
         if bump {
             work.epoch.bump();
         }
-        if publish_edit(&mut writer, work, ops) {
-            self.cstats.record_spare_copy();
-        }
+        self.cstats
+            .record_slab_publish(publish_edit(&mut writer, work, ops));
     }
 
     /// L2 mask-cache accounting, both scopes (same unified accessor
@@ -604,9 +604,8 @@ impl HbaCluster {
         // stay valid and pinned walks keep probing the bits they
         // admitted against.
         let work = (*writer.base()).clone();
-        if publish_edit(&mut writer, work, &[SlabOp::Delta(origin, delta.clone())]) {
-            self.stats.slab_spare_copies += 1;
-        }
+        let publish = publish_edit(&mut writer, work, &[SlabOp::Delta(origin, delta.clone())]);
+        self.stats.record_slab_publish(publish);
         drop(writer);
         let recipients = self.mdss.len().saturating_sub(1);
         let report = UpdateReport {
@@ -1506,7 +1505,8 @@ impl HbaCluster {
     /// published filters. Each delta comes from the pending
     /// fingerprints' probe rows
     /// ([`SharedShapeArray::insert_delta`]), so staging costs
-    /// `O(64 × changed words)`, like G-HBA's.
+    /// `O(fingerprints × hashes)` and the publish `O(changed bits)`,
+    /// like G-HBA's.
     ///
     /// Staging runs at the sequential publish cadence, not per batch: a
     /// home's creates accumulate in its staging buffer (every walk sees
@@ -1552,8 +1552,9 @@ impl HbaCluster {
             staged.push(home);
             ops.push(SlabOp::Delta(home, delta));
         }
-        if !ops.is_empty() && publish_edit(&mut writer, work, &ops) {
-            self.cstats.record_spare_copy();
+        if !ops.is_empty() {
+            self.cstats
+                .record_slab_publish(publish_edit(&mut writer, work, &ops));
         }
         drop(writer);
         if !staged.is_empty() {
@@ -1618,8 +1619,9 @@ impl HbaCluster {
                     }
                 }
             }
-            if !ops.is_empty() && publish_edit(&mut writer, work, &ops) {
-                self.stats.slab_spare_copies += 1;
+            if !ops.is_empty() {
+                let publish = publish_edit(&mut writer, work, &ops);
+                self.stats.record_slab_publish(publish);
             }
         }
     }

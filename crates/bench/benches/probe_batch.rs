@@ -14,7 +14,8 @@
 //!   one reduces, and register-resident SIMD mask reduction — so the
 //!   cache misses of different lookups overlap instead of queueing.
 //! * **Publish cost** — refreshing one slot of the published slab via
-//!   [`SharedShapeArray::apply_delta`] (cost ∝ changed words) vs
+//!   [`SharedShapeArray::apply_delta`] (cost ∝ changed bits: one row
+//!   write per bit the delta sets or clears) vs
 //!   [`SharedShapeArray::replace_filter`] (O(m) rows cleared and
 //!   rewritten), at a small (1-file) and a large (512-file) churn since
 //!   the last publish.

@@ -60,5 +60,5 @@ pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;
 pub use hash::Fingerprint;
 pub use lru::{GenerationalLruArray, LruBloomArray};
-pub use ops::FilterDelta;
+pub use ops::{FilterDelta, WordChange};
 pub use shared::{ProbeBatch, SharedShapeArray, SlotMask};

@@ -57,12 +57,30 @@ pub fn symmetric_difference(a: &BloomFilter, b: &BloomFilter) -> Result<BloomFil
     Ok(out)
 }
 
+/// One changed 64-bit word of a [`FilterDelta`], as the masks of the
+/// bits the change sets and clears. Applying it is
+/// `word = (word | set) & !cleared`, so it touches only the bits that
+/// flip and applying it twice equals applying it once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordChange {
+    /// Index of the word in the filter.
+    pub index: u32,
+    /// Bits the change sets: `new & !old`.
+    pub set: u64,
+    /// Bits the change clears: `old & !new`.
+    pub cleared: u64,
+}
+
 /// A sparse, wire-friendly encoding of "how to turn filter `old` into
-/// filter `new`": the 64-bit words that changed, by index.
+/// filter `new`": the 64-bit words that changed, by index, each as the
+/// masks of the bits it sets and clears ([`WordChange`]).
 ///
 /// When a home MDS refreshes the replicas of its filter, shipping a
 /// `FilterDelta` instead of the whole filter shrinks update traffic in
-/// proportion to the churn since the last refresh.
+/// proportion to the churn since the last refresh. Applying one costs
+/// the bits that flip ([`changed_bits`](FilterDelta::changed_bits)),
+/// and is idempotent: a delta applied to a filter that already holds
+/// its post-delta bits leaves it unchanged.
 ///
 /// # Examples
 ///
@@ -81,7 +99,7 @@ pub fn symmetric_difference(a: &BloomFilter, b: &BloomFilter) -> Result<BloomFil
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterDelta {
     shape: crate::error::FilterShape,
-    changed: Vec<(u32, u64)>,
+    changes: Vec<WordChange>,
     new_items: usize,
 }
 
@@ -98,35 +116,46 @@ impl FilterDelta {
                 right: new.shape(),
             });
         }
-        let changed = old
+        let changes = old
             .words()
             .iter()
             .zip(new.words())
             .enumerate()
             .filter(|(_, (o, n))| o != n)
-            .map(|(i, (_, n))| (i as u32, *n))
+            .map(|(i, (&o, &n))| WordChange {
+                index: i as u32,
+                set: n & !o,
+                cleared: o & !n,
+            })
             .collect();
         Ok(FilterDelta {
             shape: old.shape(),
-            changed,
+            changes,
             new_items: new.item_count(),
         })
     }
 
-    /// Assembles a delta from changed words already in ascending index
-    /// order — the order [`between`](FilterDelta::between) emits.
-    pub(crate) fn from_sorted_words(
+    /// Assembles a delta from non-empty word changes already in
+    /// ascending index order — the order [`between`](FilterDelta::between)
+    /// emits.
+    pub(crate) fn from_sorted_changes(
         shape: crate::error::FilterShape,
-        changed: Vec<(u32, u64)>,
+        changes: Vec<WordChange>,
         new_items: usize,
     ) -> Self {
         debug_assert!(
-            changed.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            changes.windows(2).all(|pair| pair[0].index < pair[1].index),
             "changed words must be strictly ascending"
+        );
+        debug_assert!(
+            changes
+                .iter()
+                .all(|c| c.set | c.cleared != 0 && c.set & c.cleared == 0),
+            "each change flips some bits, none both ways"
         );
         FilterDelta {
             shape,
-            changed,
+            changes,
             new_items,
         }
     }
@@ -134,23 +163,39 @@ impl FilterDelta {
     /// Number of changed words.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.changed.len()
+        self.changes.len()
     }
 
     /// `true` when the delta is a no-op.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.changed.is_empty()
+        self.changes.is_empty()
     }
 
-    /// Bytes this delta would occupy on the wire: 4 (index) + 8 (word) per
-    /// entry plus a fixed 24-byte header.
+    /// Number of bits the delta flips — set plus cleared. This, not the
+    /// changed-word count, is what applying it to a bit-sliced slab
+    /// costs in rows.
+    #[must_use]
+    pub fn changed_bits(&self) -> usize {
+        self.changes
+            .iter()
+            .map(|c| (c.set | c.cleared).count_ones() as usize)
+            .sum()
+    }
+
+    /// Bytes this delta would occupy on the wire: 4 (index) + 8 (the
+    /// post-delta word) per changed word plus a fixed 24-byte header. A
+    /// receiver holding the old word derives the set and clear masks
+    /// from the new one, so the masks cost nothing extra on the wire.
     #[must_use]
     pub fn wire_bytes(&self) -> usize {
-        24 + self.changed.len() * 12
+        24 + self.changes.len() * 12
     }
 
-    /// Applies the delta to `target`, which must look like the `old` side.
+    /// Applies the delta to `target`, which must look like the `old`
+    /// side or already hold some of the delta's changes: each changed
+    /// word becomes `(word | set) & !cleared`, so applying a delta twice
+    /// equals applying it once.
     ///
     /// # Errors
     ///
@@ -165,15 +210,13 @@ impl FilterDelta {
             });
         }
         let word_count = target.words().len();
-        if self
-            .changed
-            .iter()
-            .any(|&(idx, _)| idx as usize >= word_count)
-        {
+        if self.changes.iter().any(|c| c.index as usize >= word_count) {
             return Err(BloomError::Corrupt("delta word index out of range"));
         }
-        for &(idx, word) in &self.changed {
-            target.words_mut()[idx as usize] = word;
+        let words = target.words_mut();
+        for c in &self.changes {
+            let word = &mut words[c.index as usize];
+            *word = (*word | c.set) & !c.cleared;
         }
         target.set_items(self.new_items);
         Ok(())
@@ -185,14 +228,15 @@ impl FilterDelta {
         self.shape
     }
 
-    /// The changed 64-bit words as `(word index, new value)` pairs — the
-    /// sparse payload [`SharedShapeArray::apply_delta`] writes directly
-    /// into a slab column.
+    /// The changed words in ascending index order, each as its set and
+    /// clear masks — the sparse payload
+    /// [`SharedShapeArray::apply_delta`] writes into a slab column one
+    /// flipped bit (one row) at a time.
     ///
     /// [`SharedShapeArray::apply_delta`]: crate::SharedShapeArray::apply_delta
     #[must_use]
-    pub fn changed_words(&self) -> &[(u32, u64)] {
-        &self.changed
+    pub fn changes(&self) -> &[WordChange] {
+        &self.changes
     }
 
     /// The item count of the post-delta filter.
@@ -272,6 +316,29 @@ mod tests {
         let mut replica = old.clone();
         delta.apply(&mut replica).unwrap();
         assert_eq!(replica, new);
+    }
+
+    #[test]
+    fn delta_masks_split_sets_from_clears() {
+        let mut old = BloomFilter::new(128, 1, 0);
+        old.words_mut().copy_from_slice(&[0b0110, 0b1]);
+        let mut new = old.clone();
+        new.words_mut().copy_from_slice(&[0b1100, 0b1]);
+        let delta = FilterDelta::between(&old, &new).unwrap();
+        assert_eq!(
+            delta.changes(),
+            &[WordChange {
+                index: 0,
+                set: 0b1000,
+                cleared: 0b0010,
+            }]
+        );
+        assert_eq!(delta.changed_bits(), 2);
+        assert_eq!(delta.wire_bytes(), 24 + 12);
+        let mut replica = old.clone();
+        delta.apply(&mut replica).unwrap();
+        delta.apply(&mut replica).unwrap();
+        assert_eq!(replica, new, "a second apply is a no-op");
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::array::Hit;
 use crate::error::{BloomError, FilterShape};
 use crate::filter::BloomFilter;
 use crate::hash::Fingerprint;
-use crate::ops::FilterDelta;
+use crate::ops::{FilterDelta, WordChange};
 
 /// A bit-sliced array of same-shape Bloom filters probed as one.
 ///
@@ -963,6 +963,16 @@ fn transpose_64x64(m: &mut [u64; 64]) {
     }
 }
 
+/// The bit-rows of `word`'s set bits, for a word whose bit 0 is row
+/// `base`, in ascending order.
+fn bit_rows(base: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    core::iter::from_fn(move || {
+        let row = base + word.trailing_zeros() as usize;
+        word &= word.checked_sub(1)?;
+        Some(row)
+    })
+}
+
 impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     /// Creates an empty array whose slots will all use `shape`.
     ///
@@ -1212,11 +1222,8 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     fn write_column(&mut self, slot: usize, filter: &BloomFilter) {
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         for (w, &src) in filter.words().iter().enumerate() {
-            let mut remaining = src;
-            while remaining != 0 {
-                let row = w * 64 + remaining.trailing_zeros() as usize;
+            for row in bit_rows(w * 64, src) {
                 self.slab[row * self.stride + word] |= bit;
-                remaining &= remaining - 1;
             }
         }
     }
@@ -1228,17 +1235,20 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         }
     }
 
-    /// Applies a sparse [`FilterDelta`] directly to `id`'s column: only the
-    /// bit-rows of the delta's changed words are touched — `O(64 × changed
-    /// words)` — instead of the three full-column passes an
-    /// extract/apply/replace round trip would cost.
+    /// Applies a sparse [`FilterDelta`] directly to `id`'s column and
+    /// returns the number of slab rows written. Only the rows of the bits
+    /// the delta flips are touched — one `|=` per set bit, one `&= !` per
+    /// cleared bit, `O(changed bits)` — instead of the three full-column
+    /// passes an extract/apply/replace round trip would cost. Like
+    /// [`FilterDelta::apply`] it is idempotent: a column that already
+    /// holds the delta's post-delta bits is left unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`BloomError::IncompatibleFilters`] on a shape mismatch,
     /// [`BloomError::UnknownId`] if `id` is absent, or
-    /// [`BloomError::Corrupt`] if the delta indexes past the filter.
-    pub fn apply_delta(&mut self, id: I, delta: &FilterDelta) -> Result<(), BloomError> {
+    /// [`BloomError::Corrupt`] if the delta flips a bit past the filter.
+    pub fn apply_delta(&mut self, id: I, delta: &FilterDelta) -> Result<usize, BloomError> {
         if delta.shape() != self.shape {
             return Err(BloomError::IncompatibleFilters {
                 left: self.shape,
@@ -1246,29 +1256,28 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
             });
         }
         let slot = self.slot_of(id).ok_or(BloomError::UnknownId)?;
-        let word_count = self.shape.bits.div_ceil(64);
-        if delta
-            .changed_words()
-            .iter()
-            .any(|&(idx, _)| idx as usize >= word_count)
-        {
-            return Err(BloomError::Corrupt("delta word index out of range"));
+        // One past the highest row a change flips must stay in the filter.
+        let fits = |c: &WordChange| {
+            let top = c.index as usize * 64 + (64 - (c.set | c.cleared).leading_zeros() as usize);
+            top <= self.shape.bits
+        };
+        if !delta.changes().iter().all(fits) {
+            return Err(BloomError::Corrupt("delta flips a bit past the filter"));
         }
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-        for &(idx, new_word) in delta.changed_words() {
-            let base = idx as usize * 64;
-            let top = (base + 64).min(self.shape.bits);
-            for row in base..top {
-                let cell = &mut self.slab[row * self.stride + word];
-                if new_word >> (row - base) & 1 == 1 {
-                    *cell |= bit;
-                } else {
-                    *cell &= !bit;
-                }
+        let mut rows = 0;
+        for change in delta.changes() {
+            let base = change.index as usize * 64;
+            for row in bit_rows(base, change.set) {
+                self.slab[row * self.stride + word] |= bit;
             }
+            for row in bit_rows(base, change.cleared) {
+                self.slab[row * self.stride + word] &= !bit;
+            }
+            rows += (change.set | change.cleared).count_ones() as usize;
         }
         self.items[slot] = delta.new_items();
-        Ok(())
+        Ok(rows)
     }
 
     /// Reconstructs `id`'s slot as a standalone [`BloomFilter`] (used when
@@ -1290,16 +1299,17 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     /// The sparse [`FilterDelta`] that inserting `fps` into `id`'s slot
     /// would publish, without touching the slab: exactly
     /// `FilterDelta::between(&old, &new)` for `old = extract(id)` and
-    /// `new = old` plus every fingerprint (same changed words, same
+    /// `new = old` plus every fingerprint (same word changes, same
     /// ascending order, same `new_items` — one per fingerprint,
     /// duplicates included, as [`BloomFilter::insert_fp`] counts them).
     ///
-    /// Nothing is extracted or cloned: only the fingerprints' probe rows
-    /// are read, plus the 64 bit-rows of each word that actually
-    /// changes, so the cost is `O(fps × hashes + 64 × changed words)`
-    /// rather than the `O(filter bits)` strided scan of an
-    /// extract/insert/diff round trip. Fold the result in with
-    /// [`apply_delta`](SharedShapeArray::apply_delta).
+    /// An insert only sets bits, so each word's change is just the
+    /// probe bits still clear in the column: only the fingerprints' probe
+    /// rows are read, and the cost is `O(fps × hashes)` rather than the
+    /// `O(filter bits)` strided scan of an extract/insert/diff round
+    /// trip. Fold the result in with
+    /// [`apply_delta`](SharedShapeArray::apply_delta), which writes one
+    /// row per set bit.
     ///
     /// # Errors
     ///
@@ -1316,28 +1326,21 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
                 }
             }
         }
-        fresh.sort_unstable_by_key(|&(idx, _)| idx);
-        let mut changed: Vec<(u32, u64)> = Vec::new();
-        for (idx, set) in fresh {
-            match changed.last_mut() {
-                Some((last, bits)) if *last == idx => *bits |= set,
-                _ => changed.push((idx, set)),
+        fresh.sort_unstable_by_key(|&(index, _)| index);
+        let mut changes: Vec<WordChange> = Vec::new();
+        for (index, set) in fresh {
+            match changes.last_mut() {
+                Some(last) if last.index == index => last.set |= set,
+                _ => changes.push(WordChange {
+                    index,
+                    set,
+                    cleared: 0,
+                }),
             }
         }
-        // Only words gaining a bit differ from the column: gather their
-        // remaining 64 rows to complete the post-insert word.
-        for (idx, bits) in &mut changed {
-            let base = *idx as usize * 64;
-            let top = (base + 64).min(self.shape.bits);
-            for row in base..top {
-                if self.slab[row * self.stride + word] & bit != 0 {
-                    *bits |= 1 << (row - base);
-                }
-            }
-        }
-        Ok(FilterDelta::from_sorted_words(
+        Ok(FilterDelta::from_sorted_changes(
             self.shape,
-            changed,
+            changes,
             self.items[slot] + fps.len(),
         ))
     }
@@ -2030,7 +2033,8 @@ mod tests {
         let mut array = SharedShapeArray::new(shape());
         array.push_filter(1u16, &old_filter).unwrap();
         array.push_filter(2u16, &new_filter).unwrap(); // bystander column
-        array.apply_delta(1u16, &delta).unwrap();
+        let rows = array.apply_delta(1u16, &delta).unwrap();
+        assert_eq!(rows, delta.changed_bits(), "one row per flipped bit");
         assert_eq!(array.extract(1).unwrap(), new_filter);
         assert_eq!(array.extract(2).unwrap(), new_filter);
 
@@ -2041,6 +2045,27 @@ mod tests {
         assert!(matches!(
             array.apply_delta(1, &alien),
             Err(BloomError::IncompatibleFilters { .. })
+        ));
+        // A flip in the tail word's padding would write past the slab.
+        let odd = FilterShape {
+            bits: 1000,
+            hashes: 2,
+            seed: 0,
+        };
+        let mut short = SharedShapeArray::new(odd);
+        short.push(1u16).unwrap();
+        let padding = FilterDelta::from_sorted_changes(
+            odd,
+            vec![WordChange {
+                index: 15,
+                set: 1 << 63,
+                cleared: 0,
+            }],
+            1,
+        );
+        assert!(matches!(
+            short.apply_delta(1, &padding),
+            Err(BloomError::Corrupt(_))
         ));
     }
 

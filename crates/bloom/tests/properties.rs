@@ -624,12 +624,74 @@ proptest! {
         }
         let oracle = FilterDelta::between(&old, &new).unwrap();
         let sparse = slab.insert_delta(target, &fps).unwrap();
-        prop_assert_eq!(sparse.changed_words(), oracle.changed_words());
+        prop_assert_eq!(sparse.changes(), oracle.changes());
+        prop_assert!(sparse.changes().iter().all(|c| c.cleared == 0), "inserts only set bits");
         prop_assert_eq!(sparse.new_items(), oracle.new_items());
         prop_assert_eq!(sparse.wire_bytes(), oracle.wire_bytes());
         prop_assert_eq!(&sparse, &oracle);
-        slab.apply_delta(target, &sparse).unwrap();
+        prop_assert_eq!(slab.apply_delta(target, &sparse), Ok(sparse.changed_bits()));
         prop_assert_eq!(slab.extract(target), Some(new));
+    }
+
+    /// A delta that both sets and clears bits (counting-filter removes
+    /// produce the clears) rewrites exactly the target column: after
+    /// `apply_delta(between(old, new))` the column extracts as `new`,
+    /// every other column is bit-for-bit untouched, one row is written
+    /// per flipped bit, and a second application — on the slab or
+    /// through `FilterDelta::apply` — changes nothing. Slabs of 1-63
+    /// slots (stride 1) and 65-139 slots (stride 2).
+    #[test]
+    fn apply_delta_sets_and_clears_only_the_target_column(
+        wide in any::<bool>(),
+        size in 0u16..75,
+        columns in proptest::collection::vec(("[a-d]{1,3}", 0u16..140), 0..150),
+        base in proptest::collection::vec("[a-d]{1,3}", 0..40),
+        removed in proptest::collection::vec(0usize..40, 0..20),
+        added in proptest::collection::vec("[a-d]{1,3}", 0..20),
+        pick in 0u16..140,
+        seed in any::<u64>(),
+    ) {
+        let homes = if wide { 65 + size } else { 1 + size % 63 };
+        let (bits, hashes) = (1000usize, 4u32);
+        let shape = ghba_bloom::FilterShape { bits, hashes, seed };
+        let mut slab = SharedShapeArray::new(shape);
+        for id in 0..homes {
+            slab.push(id).unwrap();
+        }
+        for (item, home) in &columns {
+            slab.insert(home % homes, item).unwrap();
+        }
+        let mut counting = CountingBloomFilter::new(bits, hashes, seed);
+        for item in &base {
+            counting.insert(item);
+        }
+        let old = counting.to_bloom_filter();
+        for &n in &removed {
+            if let Some(item) = base.get(n) {
+                let _ = counting.remove(item);
+            }
+        }
+        for item in &added {
+            counting.insert(item);
+        }
+        let new = counting.to_bloom_filter();
+        let target = pick % homes;
+        slab.replace_filter(target, &old).unwrap();
+        let before: Vec<Option<BloomFilter>> = (0..homes).map(|id| slab.extract(id)).collect();
+
+        let delta = FilterDelta::between(&old, &new).unwrap();
+        prop_assert!(delta.changes().iter().all(|c| c.set & c.cleared == 0));
+        prop_assert_eq!(slab.apply_delta(target, &delta), Ok(delta.changed_bits()));
+        prop_assert_eq!(slab.extract(target), Some(new.clone()));
+        slab.apply_delta(target, &delta).unwrap();
+        prop_assert_eq!(slab.extract(target), Some(new.clone()));
+        for id in (0..homes).filter(|&id| id != target) {
+            prop_assert_eq!(slab.extract(id), before[usize::from(id)].clone(), "column {}", id);
+        }
+        let mut replica = old.clone();
+        delta.apply(&mut replica).unwrap();
+        delta.apply(&mut replica).unwrap();
+        prop_assert_eq!(replica, new);
     }
 
     /// `ProbeBatch::derive_rows_into` yields exactly the per-fingerprint

@@ -147,7 +147,7 @@ pub enum Message {
     ReplicaDelta {
         /// The server whose replica to patch.
         origin: MdsId,
-        /// The changed words.
+        /// The changed words, as set/clear masks.
         delta: FilterDelta,
     },
     /// Drop the replica of `origin` (server departed).

@@ -402,10 +402,14 @@ impl Node {
                 self.install_replica(origin, &filter);
             }
             Message::ReplicaDelta { origin, delta } => {
-                // Sparse apply straight into the slab column. A delta for
-                // an unknown origin or mismatching shape (e.g. raced with
-                // a re-install) is dropped; the next full install repairs
-                // it.
+                // Sparse apply straight into the slab column. Deltas set
+                // and clear bits by mask, so applying one is idempotent:
+                // a delta arriving after a `ReplicaInstall` that already
+                // contains it leaves the column unchanged. A delta for an
+                // origin with no column is dropped: origins record each
+                // publish in the registry before sending its deltas, and
+                // the runtime sends installs while holding the registry
+                // lock, so the install that creates the column carries it.
                 let _ = self.replicas.apply_delta(origin, &delta);
             }
             Message::ReplicaDrop { origin } => {
@@ -744,5 +748,52 @@ impl Node {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::map::Scheme;
+    use ghba_core::SnapshotCell;
+
+    #[test]
+    fn a_delta_after_an_install_that_contains_it_changes_nothing() {
+        let config = GhbaConfig::default().with_filter_capacity(500);
+        let net = Network::new();
+        let inbox = net.register(MdsId(0));
+        let map: SharedMap = Arc::new(SnapshotCell::new(ClusterMap::new(Scheme::Hba), ()));
+        let registry: PublishedRegistry = Arc::new(RwLock::new(HashMap::new()));
+        let origin = MdsId(1);
+        let mut node = Node::new(
+            MdsId(0),
+            config.clone(),
+            map,
+            net,
+            registry,
+            inbox,
+            vec![origin],
+        );
+        let mut home = Mds::new(origin, &config);
+        for i in 0..20 {
+            home.create_local(&format!("/f{i}"));
+        }
+        let _ = home.publish();
+        for i in 0..10 {
+            assert!(home.remove_local(&format!("/f{i}")));
+        }
+        for i in 20..30 {
+            home.create_local(&format!("/f{i}"));
+        }
+        let delta = home.publish().expect("the removes and creates flip bits");
+        assert!(delta.changes().iter().any(|c| c.set != 0));
+        assert!(delta.changes().iter().any(|c| c.cleared != 0));
+        let installed = home.published().clone();
+        assert!(node.handle(Message::ReplicaInstall {
+            origin,
+            filter: Box::new(installed.clone()),
+        }));
+        assert!(node.handle(Message::ReplicaDelta { origin, delta }));
+        assert_eq!(node.replicas.extract(origin), Some(installed));
     }
 }

@@ -21,6 +21,7 @@ use crate::op::{EntryPolicy, PathKey};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::snapshot::{
     route_cell, ReconfigHandle, RouteCell, RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp,
+    SlabPublish,
 };
 
 /// Aggregate statistics of a cluster's lifetime.
@@ -65,8 +66,26 @@ pub struct ClusterStats {
     /// can force a copy, and so can a publisher that commits while
     /// holding a pin of its own.
     pub slab_spare_copies: u64,
+    /// Slab bit-rows written by slab-touching publishes' deltas, over
+    /// the spare and the displaced slab (see
+    /// [`SlabPublish::rows_written`](crate::SlabPublish::rows_written)):
+    /// one row per flipped bit per slab, so a publish costs the bits it
+    /// changes. Column pushes and removes of joins and departures are
+    /// not counted.
+    pub slab_rows_written: u64,
     /// Named auxiliary counters (verification round trips, drops, …).
     pub counters: Counters,
+}
+
+impl ClusterStats {
+    /// Counts one slab-touching publish: the rows it wrote
+    /// ([`slab_rows_written`](ClusterStats::slab_rows_written)) and its
+    /// deep-copy fallback, if it needed one
+    /// ([`slab_spare_copies`](ClusterStats::slab_spare_copies)).
+    pub fn record_slab_publish(&mut self, publish: SlabPublish) {
+        self.slab_rows_written += publish.rows_written;
+        self.slab_spare_copies += u64::from(publish.deep_copied);
+    }
 }
 
 /// One entry server's cached L2 snapshot: its held-replica candidate
@@ -1207,9 +1226,10 @@ impl GhbaCluster {
     /// Cost: each home's delta comes straight from its pending
     /// fingerprints' probe rows
     /// ([`SharedShapeArray::insert_delta`](ghba_bloom::SharedShapeArray::insert_delta)),
-    /// and the publish applies it sparsely, so the whole pass is
-    /// `O(fingerprints × hashes + 64 × changed words)` with no
-    /// slab-sized allocation or scan — unless the caller still pins the
+    /// and the publish writes one slab row per bit it sets, so the whole
+    /// pass is `O(fingerprints × hashes)` — `O(changed bits)` on the
+    /// slab, counted in [`ClusterStats::slab_rows_written`] — with no
+    /// slab-sized allocation or scan, unless the caller still pins the
     /// current snapshot, which forces the spare slab's deep copy
     /// (counted in [`ClusterStats::slab_spare_copies`]).
     ///
@@ -1272,9 +1292,7 @@ impl GhbaCluster {
         for (home, delta) in ops {
             edit.push_op(SlabOp::Delta(home, delta));
         }
-        if edit.commit() {
-            self.cstats.record_spare_copy();
-        }
+        self.cstats.record_slab_publish(edit.commit());
         if !staged.is_empty() {
             self.shards.mark_staged(staged);
         }
@@ -1362,8 +1380,8 @@ impl GhbaCluster {
                 continue;
             };
             // Refresh the server's own published filter from its
-            // (just replayed) live state, then overwrite the
-            // column's changed words to match it exactly.
+            // (just replayed) live state, then flip the column's
+            // differing bits to match it exactly.
             let _ = mds.publish();
             let Some(column) = edit.work.slab.extract(home) else {
                 continue;

@@ -38,6 +38,7 @@ use crate::ids::{GroupId, MdsId};
 use crate::load::LoadRecorder;
 use crate::op::PathKey;
 use crate::query::QueryLevel;
+use crate::snapshot::SlabPublish;
 
 /// Lock-free mirror of `LatencyStats`: same bucket geometry, atomic
 /// words, drained wholesale into the real accumulator via
@@ -113,6 +114,7 @@ pub struct ConcurrentStats {
     l3_false: AtomicU64,
     l4_disk: AtomicU64,
     spare_copies: AtomicU64,
+    slab_rows: AtomicU64,
     /// Per-group load telemetry (see [`crate::load`]). Deliberately
     /// outside the `dirty` protocol: it is drained by the load report,
     /// not by the stats fold, so recording load never forces the
@@ -143,6 +145,7 @@ impl ConcurrentStats {
             l3_false: AtomicU64::new(0),
             l4_disk: AtomicU64::new(0),
             spare_copies: AtomicU64::new(0),
+            slab_rows: AtomicU64::new(0),
             load: LoadRecorder::new(),
         }
     }
@@ -241,11 +244,18 @@ impl ConcurrentStats {
         self.touch();
     }
 
-    /// Records one staged publish whose spare slab had to be restocked
-    /// by a deep copy (see
-    /// [`ClusterStats::slab_spare_copies`](crate::ClusterStats::slab_spare_copies)).
-    pub fn record_spare_copy(&self) {
-        self.spare_copies.fetch_add(1, Ordering::Relaxed);
+    /// Records one staged slab publish: the rows it wrote and whether
+    /// its spare slab had to be restocked by a deep copy (see
+    /// [`ClusterStats::record_slab_publish`](crate::ClusterStats::record_slab_publish)).
+    /// A publish that wrote no rows and copied nothing records nothing.
+    pub fn record_slab_publish(&self, publish: SlabPublish) {
+        if publish == SlabPublish::default() {
+            return;
+        }
+        self.slab_rows
+            .fetch_add(publish.rows_written, Ordering::Relaxed);
+        self.spare_copies
+            .fetch_add(u64::from(publish.deep_copied), Ordering::Relaxed);
         self.touch();
     }
 
@@ -274,6 +284,7 @@ impl ConcurrentStats {
         stats.update_messages += self.update_messages.swap(0, Ordering::Relaxed);
         stats.update_bytes += self.update_bytes.swap(0, Ordering::Relaxed);
         stats.slab_spare_copies += self.spare_copies.swap(0, Ordering::Relaxed);
+        stats.slab_rows_written += self.slab_rows.swap(0, Ordering::Relaxed);
 
         for (label, counter) in [
             ("l1_false_hits", &self.l1_false),

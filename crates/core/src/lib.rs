@@ -82,7 +82,9 @@ pub use query::{LevelCounts, QueryLevel, QueryOutcome};
 pub use reconcile::Reconciler;
 pub use reconfig::{ReconfigError, ReconfigReport};
 pub use service::MetadataService;
-pub use snapshot::{CellWriter, ReconfigHandle, RouteSnapshot, SlabOp, SlabSpare, SnapshotCell};
+pub use snapshot::{
+    CellWriter, ReconfigHandle, RouteSnapshot, SlabOp, SlabPublish, SlabSpare, SnapshotCell,
+};
 pub use update::UpdateReport;
 pub use wal::{
     Checkpoint, SyncPolicy, Wal, WalError, WalEvent, WalOptions, WalRecord, WalRecovery,

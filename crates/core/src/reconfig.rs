@@ -274,16 +274,14 @@ impl RouteEdit<'_> {
 }
 
 impl GhbaCluster {
-    /// Commits an edit, counts a spare-slab deep copy if the publish
-    /// needed one, and evicts the mask-cache state of any group it
-    /// dissolved (the owner-side half of snapshot retirement: the epochs
-    /// left with the snapshot, the cached masks live here). Every
-    /// owner-side (`&mut`) publish goes through here.
+    /// Commits an edit, counts the slab rows it wrote and a spare-slab
+    /// deep copy if the publish needed one, and evicts the mask-cache
+    /// state of any group it dissolved (the owner-side half of snapshot
+    /// retirement: the epochs left with the snapshot, the cached masks
+    /// live here). Every owner-side (`&mut`) publish goes through here.
     pub(crate) fn finish_edit(&mut self, mut edit: RouteEdit<'_>) {
         let dissolved = core::mem::take(&mut edit.dissolved);
-        if edit.commit() {
-            self.stats.slab_spare_copies += 1;
-        }
+        self.stats.record_slab_publish(edit.commit());
         for gid in dissolved {
             self.mask_cache.forget_group(gid);
         }

@@ -266,7 +266,9 @@ pub enum SlabOp {
     Delta(MdsId, FilterDelta),
 }
 
-fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
+/// Applies `ops` to `slab`, returning the bit-rows its deltas wrote.
+fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) -> u64 {
+    let mut rows = 0;
     for op in ops {
         match op {
             SlabOp::Push(id) => slab.push(*id).expect("fresh id is unique in the slab"),
@@ -276,11 +278,31 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
             SlabOp::Remove(id) => {
                 slab.remove(*id);
             }
-            SlabOp::Delta(id, delta) => slab
-                .apply_delta(*id, delta)
-                .expect("slab tracks every published server"),
+            SlabOp::Delta(id, delta) => {
+                rows += slab
+                    .apply_delta(*id, delta)
+                    .expect("slab tracks every published server") as u64;
+            }
         }
     }
+    rows
+}
+
+/// What one [`CellWriter::publish_slab`] cost the writer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlabPublish {
+    /// Slab bit-rows the publish's [`SlabOp::Delta`]s wrote, summed
+    /// over the spare and, when it was recycled, the displaced slab —
+    /// one row per flipped bit per slab (see
+    /// [`ClusterStats::slab_rows_written`]).
+    ///
+    /// [`ClusterStats::slab_rows_written`]: crate::ClusterStats::slab_rows_written
+    pub rows_written: u64,
+    /// `true` when a pin on the displaced snapshot forced the spare's
+    /// deep-copy fallback (see [`ClusterStats::slab_spare_copies`]).
+    ///
+    /// [`ClusterStats::slab_spare_copies`]: crate::ClusterStats::slab_spare_copies
+    pub deep_copied: bool,
 }
 
 /// The writer-private spare slab that keeps slab-touching publishes
@@ -293,18 +315,21 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
 /// # Cost contract
 ///
 /// A publish ([`CellWriter::publish_slab`]) of [`SlabOp::Delta`]s costs
-/// `O(64 × changed words)` twice (once on the spare, once catching up
-/// the displaced slab) and allocates nothing slab-sized: while the
-/// successor is being published the spare is simply empty, never a
-/// zero-filled placeholder. The one full-width cost left is the
-/// fallback: when something still pins the displaced snapshot, its slab
-/// cannot be reclaimed and the spare is restocked by deep-copying the
-/// published slab. Publishers therefore **release their own pin before
+/// `O(changed bits)` twice — one row write per flipped bit on the
+/// spare, and the same again catching up the displaced slab — and
+/// allocates nothing slab-sized: while the successor is being
+/// published the spare is simply empty, never a zero-filled
+/// placeholder. The one full-width cost left is the fallback: when
+/// something still pins the displaced snapshot, its slab cannot be
+/// reclaimed and the spare is restocked by deep-copying the published
+/// slab. Publishers therefore **release their own pin before
 /// committing** — a batch that commits while still holding the
 /// snapshot it admitted under forces that copy on itself.
-/// `publish_slab` reports each fallback so owners can count it
-/// ([`ClusterStats::slab_spare_copies`]).
+/// `publish_slab` reports the rows written and each fallback so owners
+/// can count them ([`ClusterStats::slab_rows_written`],
+/// [`ClusterStats::slab_spare_copies`]).
 ///
+/// [`ClusterStats::slab_rows_written`]: crate::ClusterStats::slab_rows_written
 /// [`ClusterStats::slab_spare_copies`]: crate::ClusterStats::slab_spare_copies
 #[derive(Debug)]
 pub struct SlabSpare {
@@ -320,40 +345,40 @@ impl SlabSpare {
     }
 
     /// Applies `ops` to the spare and hands it out as the successor
-    /// snapshot's slab, leaving the spare empty. The caller must publish
-    /// it and then call [`recycle`](SlabSpare::recycle) with the
-    /// displaced slab.
+    /// snapshot's slab, leaving the spare empty, with the rows its
+    /// deltas wrote. The caller must publish it and then call
+    /// [`recycle`](SlabSpare::recycle) with the displaced slab.
     ///
     /// # Panics
     ///
     /// Panics if the previous `advance` was never followed by its
     /// `recycle`.
-    fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
+    fn advance(&mut self, ops: &[SlabOp]) -> (Arc<SharedShapeArray<MdsId>>, u64) {
         let mut slab = self
             .slab
             .take()
             .expect("the previous publish restocked the spare");
-        apply_slab_ops(&mut slab, ops);
-        Arc::new(slab)
+        let rows = apply_slab_ops(&mut slab, ops);
+        (Arc::new(slab), rows)
     }
 
     /// Restocks the spare after a publish: catches the displaced slab
     /// up with the edit's ops (cheap, sparse) when its storage came
     /// back exclusively, or deep-copies the published slab when a pin
-    /// still holds it. Returns `true` when it fell back to the copy.
+    /// still holds it. Returns the rows the catch-up wrote, or `None`
+    /// when it fell back to the copy.
     fn recycle(
         &mut self,
         displaced: Option<SharedShapeArray<MdsId>>,
         ops: &[SlabOp],
         published: &SharedShapeArray<MdsId>,
-    ) -> bool {
-        let copied = displaced.is_none();
-        let slab = match displaced {
+    ) -> Option<u64> {
+        let (slab, rows) = match displaced {
             Some(mut slab) => {
-                apply_slab_ops(&mut slab, ops);
-                slab
+                let rows = apply_slab_ops(&mut slab, ops);
+                (slab, Some(rows))
             }
-            None => published.clone(),
+            None => (published.clone(), None),
         };
         debug_assert_eq!(
             slab.len(),
@@ -361,7 +386,7 @@ impl SlabSpare {
             "recycled spare diverged from the published slab"
         );
         self.slab = Some(slab);
-        copied
+        rows
     }
 }
 
@@ -370,20 +395,20 @@ impl<T> CellWriter<'_, T, SlabSpare> {
     /// its slab (reached through `slab_of`) by the [`SlabSpare`]
     /// protocol: the spare absorbs the ops and becomes the successor's
     /// slab, and the displaced slab restocks the spare. An empty `ops`
-    /// publishes `work` as is, sharing the current slab. Returns `true`
-    /// when a pin on the displaced snapshot forced the spare's
-    /// deep-copy fallback.
+    /// publishes `work` as is, sharing the current slab. Returns the
+    /// slab rows the ops' deltas wrote and whether a pin on the
+    /// displaced snapshot forced the spare's deep-copy fallback.
     pub fn publish_slab(
         &mut self,
         mut work: T,
         ops: &[SlabOp],
         slab_of: fn(&mut T) -> &mut Arc<SharedShapeArray<MdsId>>,
-    ) -> bool {
+    ) -> SlabPublish {
         if ops.is_empty() {
             self.publish(work);
-            return false;
+            return SlabPublish::default();
         }
-        let published = self.state().advance(ops);
+        let (published, spare_rows) = self.state().advance(ops);
         *slab_of(&mut work) = Arc::clone(&published);
         let displaced = Arc::try_unwrap(self.publish(work))
             .ok()
@@ -391,7 +416,11 @@ impl<T> CellWriter<'_, T, SlabSpare> {
                 let slab = core::mem::replace(slab_of(&mut prev), Arc::clone(&published));
                 Arc::try_unwrap(slab).ok()
             });
-        self.state().recycle(displaced, ops, &published)
+        let caught_up = self.state().recycle(displaced, ops, &published);
+        SlabPublish {
+            rows_written: spare_rows + caught_up.unwrap_or(0),
+            deep_copied: caught_up.is_none(),
+        }
     }
 }
 
@@ -691,15 +720,18 @@ impl<'a> RouteEdit<'a> {
     /// the queued slab ops through the spare-slab recycling protocol
     /// ([`CellWriter::publish_slab`]).
     ///
-    /// Cost: `O(64 × changed words)` for [`SlabOp::Delta`]s and no
-    /// slab-sized allocation — provided the committer holds no pin on
-    /// the current snapshot. Release the batch's pin *before*
-    /// committing; a pin still held here forces the spare's deep copy
-    /// of the whole slab. Returns `true` when that fallback ran (owners
-    /// count it in [`ClusterStats::slab_spare_copies`]).
+    /// Cost: `O(changed bits)` for [`SlabOp::Delta`]s — one row write
+    /// per flipped bit on each of the two slabs — and no slab-sized
+    /// allocation, provided the committer holds no pin on the current
+    /// snapshot. Release the batch's pin *before* committing; a pin
+    /// still held here forces the spare's deep copy of the whole slab.
+    /// Returns the rows written and whether that fallback ran (owners
+    /// count them in [`ClusterStats::slab_rows_written`] and
+    /// [`ClusterStats::slab_spare_copies`]).
     ///
+    /// [`ClusterStats::slab_rows_written`]: crate::ClusterStats::slab_rows_written
     /// [`ClusterStats::slab_spare_copies`]: crate::ClusterStats::slab_spare_copies
-    pub(crate) fn commit(mut self) -> bool {
+    pub(crate) fn commit(mut self) -> SlabPublish {
         self.writer
             .publish_slab(self.work, &self.ops, |snapshot| &mut snapshot.slab)
     }
@@ -974,10 +1006,13 @@ mod tests {
             spare.slab.as_ref().expect("restocked").ids().collect()
         };
         for ops in &rounds {
-            let next = spare.advance(ops);
+            let (next, _) = spare.advance(ops);
             assert!(spare.slab.is_none(), "no placeholder while published");
             let displaced = Arc::try_unwrap(core::mem::replace(&mut published, next)).ok();
-            assert!(!spare.recycle(displaced, ops, &published), "in place");
+            assert!(
+                spare.recycle(displaced, ops, &published).is_some(),
+                "in place"
+            );
         }
         let ids: Vec<MdsId> = published.ids().collect();
         assert_eq!(ids, vec![MdsId(0), MdsId(2)]);
@@ -986,14 +1021,15 @@ mod tests {
         // still mirror the published slab afterwards.
         let hold = Arc::clone(&published);
         let ops = vec![SlabOp::Push(MdsId(3))];
-        let next = spare.advance(&ops);
+        let (next, _) = spare.advance(&ops);
         let displaced = Arc::try_unwrap(core::mem::replace(&mut published, next)).ok();
         assert!(
             displaced.is_none(),
             "the held pin blocks in-place recycling"
         );
-        assert!(
+        assert_eq!(
             spare.recycle(displaced, &ops, &published),
+            None,
             "the fallback reports its deep copy"
         );
         // The push reuses the slot the removal tombstoned, so slot order

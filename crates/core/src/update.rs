@@ -68,7 +68,7 @@ impl GhbaCluster {
         };
         // Refresh the origin's column of the bit-sliced published slab the
         // hash-once L2/L3 probes read, as its own snapshot publish. The
-        // sparse delta touches only the bit-rows of changed words — cost
+        // sparse delta touches only the bit-rows of flipped bits — cost
         // scales with churn since the last publish, not with the O(m)
         // filter width. No epoch bump: a publish refreshes filter
         // *content* under the same layout, so cached masks stay valid,
@@ -218,5 +218,36 @@ mod tests {
                 .check_invariants()
                 .expect("published slab mirrors every snapshot");
         }
+    }
+
+    /// A publish writes one slab row per flipped bit on each of its two
+    /// slabs (the spare and the displaced slab it recycles), so a
+    /// single create's publish — at most `k` set bits — writes at most
+    /// `2 · k` rows. Rewriting whole changed words would cost
+    /// `2 · 64` rows per changed word.
+    #[test]
+    fn single_create_publish_writes_at_most_two_k_rows() {
+        let config = GhbaConfig::default()
+            .with_filter_capacity(2_000)
+            .with_max_group_size(4)
+            .with_update_threshold(usize::MAX)
+            .with_seed(5);
+        let k = u64::from(crate::mds::published_shape(&config).hashes);
+        let mut cluster = GhbaCluster::with_servers(config, 12);
+        let home = cluster.create_file("/one/file");
+        cluster.reset_stats();
+        assert!(cluster.push_update(home).refreshed);
+        let stats = cluster.stats();
+        assert_eq!(stats.slab_spare_copies, 0, "the displaced slab recycles");
+        assert!(
+            (1..=2 * k).contains(&stats.slab_rows_written),
+            "{} rows for k = {k}",
+            stats.slab_rows_written
+        );
+        assert_eq!(
+            stats.slab_rows_written % 2,
+            0,
+            "both slabs take the same rows"
+        );
     }
 }
